@@ -2,7 +2,8 @@
 
 Runs the same deviation scan the `quadcf converge` subcommand performs,
 renders the table, and prints the summary statistics. Worker count only
-changes wall time, never output: rows are computed per N and re-sorted.
+changes wall time, never output: rows are computed per N and put back in
+input order.
 """
 
 from quadcf import (

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .arith import InvariantError
 from .class_geodesics import class_number, reduced_forms, total_length
@@ -93,6 +95,8 @@ def _merge_settings(defaults: dict, args: argparse.Namespace) -> dict:
 
 
 def _cast_like(example, raw: str):
+    if isinstance(example, tuple):
+        return parse_patterns(raw)
     if isinstance(example, bool):
         if raw.lower() in ("1", "true", "yes"):
             return True
@@ -105,15 +109,6 @@ def _cast_like(example, raw: str):
         except ValueError:
             raise UsageError(f"bad integer {raw!r}") from None
     return raw
-
-
-def _emit_summary(lines: list[str], dest: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if dest and dest != "-":
-        with open(dest, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stderr.write(text)
 
 
 # ---- commands ----
@@ -130,64 +125,55 @@ def cmd_expand(args) -> int:
     return 0
 
 
-_CONVERGE_DEFAULTS = dict(
-    p=0, r=1, d=2, q=1, patterns="1", sequence="integers", bound=100,
-    coprime_filter=0, output=None, format="csv", workers=1, summary=None,
-)
+@dataclass(frozen=True)
+class _ScanCommand:
+    """What one scan subcommand needs beyond the shared output settings:
+    its config keys with their defaults, the scan from settings to rows,
+    and how rows become a table and a summary."""
+
+    settings: dict
+    scan: Callable[[dict], list]
+    header: str
+    row_values: Callable
+    stats: Callable
+    summary_lines: Callable
 
 
-def cmd_converge(args) -> int:
-    st = _merge_settings(_CONVERGE_DEFAULTS, args)
-    pats = st["patterns"] if isinstance(st["patterns"], tuple) else parse_patterns(st["patterns"])
-    cfg = ScanConfig(
-        p=st["p"], r=st["r"], d=st["d"], q=st["q"], patterns=pats,
-        sequence=st["sequence"], bound=st["bound"],
-        coprime_filter=st["coprime_filter"], output=st["output"],
-        fmt=st["format"], workers=st["workers"], summary=st["summary"],
-    )
-    rows = converge_scan(cfg)
-    table = render_table(CSV_HEADER, [deviation_row_values(r) for r in rows], cfg.fmt)
-    emit(table, cfg.output)
-    if cfg.summary is not None:
-        _emit_summary(converge_summary_lines(converge_stats(rows)), cfg.summary)
-    return 0
+# The scans are named inside lambdas, so each run looks them up in this
+# module's globals and sees a monkeypatched or wrapped binding.
+_SCANS = {
+    "converge": _ScanCommand(
+        asdict(ScanConfig()),
+        lambda st: converge_scan(ScanConfig(**st)),
+        CSV_HEADER, deviation_row_values, converge_stats, converge_summary_lines,
+    ),
+    "artin": _ScanCommand(
+        dict(d=5, sequence="primes", bound=ScanConfig.bound,
+             coprime_filter=ScanConfig.coprime_filter, workers=ScanConfig.workers),
+        lambda st: artin_scan(ScanConfig(**st)),
+        ARTIN_HEADER, order_record_values, artin_stats, artin_summary_lines,
+    ),
+    "duke": _ScanCommand(
+        dict(min=5, max=500, fundamental_only=False),
+        lambda st: duke_scan(st["min"], st["max"], st["fundamental_only"]),
+        DUKE_HEADER, duke_row_values, duke_stats, duke_summary_lines,
+    ),
+}
+
+_OUTPUT_DEFAULTS = dict(output=None, format="csv", summary=None)
 
 
-_ARTIN_DEFAULTS = dict(
-    d=5, sequence="primes", bound=100, coprime_filter=0, output=None,
-    format="csv", workers=1, summary=None,
-)
-
-
-def cmd_artin(args) -> int:
-    st = _merge_settings(_ARTIN_DEFAULTS, args)
-    cfg = ScanConfig(
-        d=st["d"], sequence=st["sequence"], bound=st["bound"],
-        coprime_filter=st["coprime_filter"], output=st["output"],
-        fmt=st["format"], workers=st["workers"], summary=st["summary"],
-    )
-    recs = artin_scan(cfg)
-    table = render_table(ARTIN_HEADER, [order_record_values(r) for r in recs], cfg.fmt)
-    emit(table, cfg.output)
-    if cfg.summary is not None:
-        _emit_summary(artin_summary_lines(artin_stats(recs)), cfg.summary)
-    return 0
-
-
-_DUKE_DEFAULTS = dict(
-    min=5, max=500, fundamental_only=False, output=None, format="csv", summary=None,
-)
-
-
-def cmd_duke(args) -> int:
-    st = _merge_settings(_DUKE_DEFAULTS, args)
-    if st["format"] not in ("csv", "json"):
-        raise UsageError(f"unknown format {st['format']!r}")
-    rows = duke_scan(st["min"], st["max"], st["fundamental_only"])
-    table = render_table(DUKE_HEADER, [duke_row_values(r) for r in rows], st["format"])
-    emit(table, st["output"])
-    if st["summary"] is not None:
-        _emit_summary(duke_summary_lines(duke_stats(rows)), st["summary"])
+def cmd_scan(args) -> int:
+    spec = _SCANS[args.command]
+    st = _merge_settings({**spec.settings, **_OUTPUT_DEFAULTS}, args)
+    output, fmt, summary = (st.pop(key) for key in _OUTPUT_DEFAULTS)
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"unknown format {fmt!r}")
+    rows = spec.scan(st)
+    emit(render_table(spec.header, [spec.row_values(r) for r in rows], fmt), output)
+    if summary is not None:
+        lines = spec.summary_lines(spec.stats(rows))
+        emit("\n".join(lines) + "\n", None if summary == "-" else summary, sys.stderr)
     return 0
 
 
@@ -232,9 +218,13 @@ def _add_scan_flags(sp) -> None:
     sp.add_argument("--sequence", choices=("integers", "primes"))
     sp.add_argument("--bound", type=int)
     sp.add_argument("--coprime-filter", type=int)
-    sp.add_argument("--output", help="write the table here instead of stdout")
-    sp.add_argument("--format", choices=("csv", "json"))
     sp.add_argument("--workers", type=int)
+    _add_output_flags(sp)
+
+
+def _add_output_flags(sp) -> None:
+    sp.add_argument("--output", help="write the table here instead of stdout")
+    sp.add_argument("--format", metavar="{csv,json}")
     sp.add_argument(
         "--summary", nargs="?", const="-",
         help="write summary statistics to this path ('-' or bare flag: stderr)",
@@ -257,39 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also print the first K convergents")
     sp.set_defaults(func=cmd_expand)
 
-    sp = sub.add_parser(
-        "converge",
-        help="pattern frequency deviations along N*(p + r*sqrt(d))/q",
-        argument_default=argparse.SUPPRESS,
-    )
+    def scan_parser(name: str, text: str) -> argparse.ArgumentParser:
+        # flags default to SUPPRESS, so _merge_settings sees only explicit ones
+        sp = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        sp.set_defaults(func=cmd_scan)
+        return sp
+
+    sp = scan_parser("converge", "pattern frequency deviations along N*(p + r*sqrt(d))/q")
     _add_surd_flags(sp)
     sp.add_argument("--patterns", type=parse_patterns,
                     help="semicolon separated, digits comma separated: '1;2;1,1'")
     _add_scan_flags(sp)
-    sp.set_defaults(func=cmd_converge)
 
-    sp = sub.add_parser(
-        "artin",
-        help="multiplicative orders of the fundamental unit mod N",
-        argument_default=argparse.SUPPRESS,
-    )
+    sp = scan_parser("artin", "multiplicative orders of the fundamental unit mod N")
     sp.add_argument("--d", type=int, help="field: squarefree m or fundamental discriminant")
     _add_scan_flags(sp)
-    sp.set_defaults(func=cmd_artin)
 
-    sp = sub.add_parser(
-        "duke",
-        help="class numbers and total cycle length over a discriminant range",
-        argument_default=argparse.SUPPRESS,
-    )
+    sp = scan_parser("duke", "class numbers and total cycle length over a discriminant range")
     sp.add_argument("--min", type=int, help="smallest discriminant")
     sp.add_argument("--max", type=int, help="largest discriminant")
     sp.add_argument("--fundamental-only", action="store_true")
-    sp.add_argument("--output")
-    sp.add_argument("--format", choices=("csv", "json"))
-    sp.add_argument("--summary", nargs="?", const="-")
-    sp.add_argument("--config")
-    sp.set_defaults(func=cmd_duke)
+    _add_output_flags(sp)
 
     sp = sub.add_parser("unit", help="fundamental unit, regulator, suborder indices")
     sp.add_argument("--d", type=int, required=True)

@@ -1,34 +1,35 @@
 """Desk-scale scan experiments: pattern-frequency deviations along N*x for
 N in an arithmetic sequence, matrix-order censuses, and form-cycle length
-tables. Everything is deterministic; scans may be partitioned across
-worker processes and the merged output is byte-identical regardless of
-worker count.
+tables. Everything is deterministic; converge and artin run through one
+item runner that may spread the items over worker processes, and the
+merged output is byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
-import multiprocessing
+import os
 import statistics
 import sys
 from dataclasses import dataclass
+from multiprocessing import Pool
 
 from .arith import InvariantError, is_prime
 from .class_geodesics import fundamental_decomposition, total_length
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
 from .matrix_orders import OrderRecord, _primes_up_to, _record_for
 from .quad_orders import (
-    FieldData,
     conductor_of_surd,
     field_data,
     phi,
     surd_coords,
     unit_group_index,
 )
-from .surd import Surd, cf_expand, make_surd, scale
+from .surd import cf_expand, make_surd, scale
 
 
 class UsageError(ValueError):
@@ -48,10 +49,7 @@ class ScanConfig:
     sequence: str = "integers"
     bound: int = 100
     coprime_filter: int = 0  # 0 disables; else skip N with gcd(N, filter) > 1
-    output: str | None = None
-    fmt: str = "csv"
     workers: int = 1
-    summary: str | None = None
 
 
 def validate_config(cfg: ScanConfig, need_patterns: bool = True) -> None:
@@ -59,8 +57,6 @@ def validate_config(cfg: ScanConfig, need_patterns: bool = True) -> None:
         raise UsageError(f"unknown sequence {cfg.sequence!r}")
     if cfg.bound < 2:
         raise UsageError("bound must be >= 2")
-    if cfg.fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {cfg.fmt!r}")
     if cfg.workers < 1:
         raise UsageError("workers must be >= 1")
     if need_patterns:
@@ -78,6 +74,44 @@ def sequence_values(cfg: ScanConfig) -> list[int]:
     return ns
 
 
+# ---- item runner ----
+
+def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
+    """The rows kernel(ctx, n) returns for each n, concatenated in the order
+    of ns.
+
+    ctx is built once by the caller and travels to the workers with the
+    kernel. With more than one process, ns is dealt out round-robin into
+    k chunks (ns[i::k]), so every chunk holds small and large N alike, and
+    the per-item results are put back in input order. There are a few
+    chunks per process, so a process slowed down by other load hands its
+    share to the rest. The pool never exceeds the CPU count; the output
+    does not depend on the worker count.
+    """
+    procs = min(workers, os.cpu_count() or 1)
+    if procs <= 1:
+        per_item = _item_rows(kernel, ctx, ns)
+    else:
+        k = 4 * procs
+        with Pool(procs) as pool:
+            parts = pool.map(functools.partial(_item_rows, kernel, ctx),
+                             [ns[i::k] for i in range(k)])
+        per_item = [None] * len(ns)
+        for i, part in enumerate(parts):
+            per_item[i::k] = part
+    return [row for rows in per_item for row in rows]
+
+
+def _item_rows(kernel, ctx, ns: list[int]) -> list[list]:
+    out = []
+    for n in ns:
+        try:
+            out.append(kernel(ctx, n))
+        except InvariantError as e:
+            raise InvariantError(f"N={n}: {e}") from e
+    return out
+
+
 # ---- deviation scan (pattern frequencies along N*x) ----
 
 CSV_HEADER = "N,is_prime,period_length,pattern,freq_num,freq_den,c_w,deviation,disc,reg_disc_exponent"
@@ -93,7 +127,6 @@ class DeviationRow:
     freq_den: int
     c_w: float
     deviation: float
-    reg_proxy: float  # ln(period_length); not serialized
     disc: int
     reg_disc_exponent: float
 
@@ -106,67 +139,35 @@ def _validate_row(row: DeviationRow) -> None:
         raise InvariantError("deviation does not match freq and c_w")
 
 
-_CTX: dict = {}
-
-
-def _init_converge(cfg: ScanConfig) -> None:
-    base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
-    fdata = field_data(surd_coords(base)[0])
-    pats = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
-    _CTX.clear()
-    _CTX.update(base=base, field=fdata, patterns=pats)
-
-
-def _converge_chunk(ns: list[int]) -> list[DeviationRow]:
-    base: Surd = _CTX["base"]
-    fdata: FieldData = _CTX["field"]
-    rows: list[DeviationRow] = []
-    for n in ns:
-        xn = scale(base, n)
-        e = cf_expand(xn)
-        L = e.period_length
-        cond = conductor_of_surd(fdata, xn)
-        disc = cond * cond * fdata.D
-        reg = fdata.regD * unit_group_index(fdata, cond)
-        rexp = math.log(reg) / math.log(math.sqrt(disc))
-        nprime = is_prime(n)
-        for label, pat, cw_float in _CTX["patterns"]:
-            freq = pattern_frequency(e, pat)
-            dev = abs(freq.numerator / freq.denominator - cw_float)
-            row = DeviationRow(
-                n, nprime, L, label, freq.numerator, freq.denominator,
-                cw_float, dev, math.log(L), disc, rexp,
-            )
-            _validate_row(row)
-            rows.append(row)
+def _converge_item(ctx, n: int) -> list[DeviationRow]:
+    base, fdata, patterns = ctx
+    xn = scale(base, n)
+    e = cf_expand(xn)
+    L = e.period_length
+    cond = conductor_of_surd(fdata, xn)
+    disc = cond * cond * fdata.D
+    reg = fdata.regD * unit_group_index(fdata, cond)
+    rexp = math.log(reg) / math.log(math.sqrt(disc))
+    nprime = is_prime(n)
+    rows = []
+    for label, pat, cw_float in patterns:
+        freq = pattern_frequency(e, pat)
+        dev = abs(freq.numerator / freq.denominator - cw_float)
+        row = DeviationRow(
+            n, nprime, L, label, freq.numerator, freq.denominator,
+            cw_float, dev, disc, rexp,
+        )
+        _validate_row(row)
+        rows.append(row)
     return rows
 
 
 def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     validate_config(cfg)
-    ns = sequence_values(cfg)
-    rows = _run_partitioned(_init_converge, _converge_chunk, cfg, ns)
-    order = {Pattern(w).label(): i for i, w in enumerate(cfg.patterns)}
-    rows.sort(key=lambda r: (r.N, order[r.pattern]))
-    return rows
-
-
-def _run_partitioned(init, chunk_fn, cfg: ScanConfig, ns: list[int]) -> list:
-    chunks = _split(ns, max(1, min(len(ns), cfg.workers * 4)))
-    if cfg.workers == 1:
-        init(cfg)
-        out: list = []
-        for ch in chunks:
-            out.extend(chunk_fn(ch))
-        return out
-    with multiprocessing.Pool(cfg.workers, initializer=init, initargs=(cfg,)) as pool:
-        parts = pool.map(chunk_fn, chunks)
-    return [row for part in parts for row in part]
-
-
-def _split(ns: list[int], k: int) -> list[list[int]]:
-    size = (len(ns) + k - 1) // k
-    return [ns[i : i + size] for i in range(0, len(ns), size)] if ns else []
+    base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
+    fdata = field_data(surd_coords(base)[0])
+    patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
+    return run_items(_converge_item, (base, fdata, patterns), sequence_values(cfg), cfg.workers)
 
 
 def converge_stats(rows: list[DeviationRow]) -> dict:
@@ -221,24 +222,16 @@ def converge_summary_lines(stats: dict) -> list[str]:
 ARTIN_HEADER = "N,ord,exponent,split_type,is_max"
 
 
-def _init_artin(cfg: ScanConfig) -> None:
-    fdata = field_data(cfg.d)
-    _CTX.clear()
-    _CTX.update(field=fdata, mat=phi(fdata, fdata.epsD))
-
-
-def _artin_chunk(ns: list[int]) -> list[OrderRecord]:
-    fdata = _CTX["field"]
-    M = _CTX["mat"]
-    return [_record_for(fdata, M, n) for n in ns]
+def _artin_item(ctx, n: int) -> list[OrderRecord]:
+    fdata, M = ctx
+    return [_record_for(fdata, M, n)]
 
 
 def artin_scan(cfg: ScanConfig) -> list[OrderRecord]:
     validate_config(cfg, need_patterns=False)
-    ns = sequence_values(cfg)
-    recs = _run_partitioned(_init_artin, _artin_chunk, cfg, ns)
-    recs.sort(key=lambda r: r.N)
-    return recs
+    fdata = field_data(cfg.d)
+    ctx = (fdata, phi(fdata, fdata.epsD))
+    return run_items(_artin_item, ctx, sequence_values(cfg), cfg.workers)
 
 
 def artin_stats(records: list[OrderRecord], thresholds=(0.7, 0.8, 0.9)) -> dict:
@@ -304,7 +297,10 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
 def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[DukeRow]:
     rows = []
     for disc in duke_discs(dmin, dmax, fundamental_only):
-        tl = total_length(disc)
+        try:
+            tl = total_length(disc)
+        except InvariantError as e:
+            raise InvariantError(f"disc={disc}: {e}") from e
         rows.append(DukeRow(disc, tl.h, tl.reg, tl.total, tl.exponent))
     return rows
 
@@ -374,8 +370,12 @@ def render_table(header: str, rows: list[list], fmt: str) -> str:
 
 
 def emit(text: str, path: str | None, default_stream=None) -> None:
-    if path:
+    """Write text to path, or to default_stream (stdout) when path is empty."""
+    if not path:
+        (default_stream or sys.stdout).write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        (default_stream or sys.stdout).write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}") from None

@@ -28,10 +28,6 @@ DOWN = "down"  # next lattice is an index-p sublattice
 UP = "up"      # next lattice is an index-p superlattice
 
 
-def _coords(x: Surd) -> tuple[int, int, int, int]:
-    return surd_coords(x)
-
-
 def _lattice_contains(outer: tuple[int, int, int], vec: tuple[Fraction, Fraction]) -> bool:
     """Is the coordinate vector inside Z*(1,0) + Z*(u/w, v/w)?"""
     u, v, w = outer
@@ -45,8 +41,8 @@ def _lattice_contains(outer: tuple[int, int, int], vec: tuple[Fraction, Fraction
 def _sublattice_index(x: Surd, y: Surd) -> int | None:
     """Index of the lattice of y inside the lattice of x, or None if the
     lattice of y is not contained in it. Requires the same field."""
-    mx, ux, vx, wx = _coords(x)
-    my, uy, vy, wy = _coords(y)
+    mx, ux, vx, wx = surd_coords(x)
+    my, uy, vy, wy = surd_coords(y)
     if mx != my:
         raise ValueError("surds lie in different fields")
     if not _lattice_contains((ux, vx, wx), (Fraction(uy, wy), Fraction(vy, wy))):
@@ -107,8 +103,8 @@ def chain_between(x: Surd, y: Surd) -> HeckeChain:
     chain starts at x itself except in the degenerate case where the two
     lattices already coincide, which yields the single node y.
     """
-    mx, ux, vx, wx = _coords(x)
-    my, uy, vy, wy = _coords(y)
+    mx, ux, vx, wx = surd_coords(x)
+    my, uy, vy, wy = surd_coords(y)
     if mx != my:
         raise ValueError("surds lie in different fields")
     A = vy * wx
@@ -195,7 +191,7 @@ def unit_index_check(f: FieldData, x: Surd, y: Surd, p: int) -> int:
     that bound is asserted. Found by power search with the suborder
     membership test.
     """
-    if _coords(x) == _coords(y):
+    if surd_coords(x) == surd_coords(y):
         return 1  # same lattice, degenerate
     if not are_neighbors(x, y, p):
         raise ValueError("not p-neighbors")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import InvariantError, factorize, is_square
-from .surd import Surd, cf_expand, eval_approx, make_surd, periodic_tail
+from .surd import Surd, _state_walk, eval_approx, make_surd
 
 
 @dataclass(frozen=True)
@@ -225,13 +225,13 @@ def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> AlgInt:
     map and eps = M21*y + M22 is the fundamental automorph; its norm is
     det M = (-1)^period_length.
     """
-    e = cf_expand(z)
-    y = periodic_tail(z)
-    m2, uy, vy, wy = surd_coords(y)
+    digits, i, (P, Q) = _state_walk(z)
+    period = digits[i:]
+    m2, uy, vy, wy = surd_coords(Surd(P, Q, z.D))
     if m2 != m:
         raise InvariantError("tail left the field")
     M = Mat2.identity()
-    for a in e.period:
+    for a in period:
         M = M * Mat2(a, 1, 1, 0)
     a_num = M.c * uy + M.d * wy
     b_num = M.c * vy
@@ -239,7 +239,7 @@ def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> AlgInt:
         raise InvariantError("automorph has non-integral coordinates")
     eps = AlgInt(a_num // wy, b_num // wy)
     norm = eps.a * eps.a + eps.a * eps.b * t + eps.b * eps.b * nrm
-    if norm != (-1) ** len(e.period):
+    if norm != (-1) ** len(period):
         raise InvariantError("automorph norm disagrees with period parity")
     return eps
 
@@ -257,11 +257,10 @@ def unit_from_period(f: FieldData, z: Surd) -> AlgInt:
 
 def disc_of_suborder(f: FieldData, N: int) -> int:
     """Discriminant of Z[N*xD]: field disc times the square of the lattice
-    index, the index being the determinant of the basis-change matrix."""
+    index N of Z[N*xD] in Z[xD]."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    index = abs(Mat2(1, 0, 0, N).det)
-    return f.D * index * index
+    return f.D * N * N
 
 
 def in_suborder(f: FieldData, alpha: AlgInt, N: int) -> bool:

@@ -171,9 +171,10 @@ class CFExpansion:
         return len(self.period)
 
 
-def _state_walk(x: Surd) -> tuple[list[int], int]:
+def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     """Run the state recursion until the first repeated (P, Q) state.
-    Returns (digits, index where the cycle starts)."""
+    Returns (digits, index where the cycle starts, the repeated state);
+    the repeated state is the purely periodic complete quotient."""
     P, Q, D = x.P, x.Q, x.D
     s = isqrt(D)
     seen: dict[tuple[int, int], int] = {}
@@ -187,7 +188,7 @@ def _state_walk(x: Surd) -> tuple[list[int], int]:
         if rem:
             raise InvariantError("state recursion left the integral lattice")
         Q = Q2
-    return digits, seen[(P, Q)]
+    return digits, seen[(P, Q)], (P, Q)
 
 
 def cf_expand(x: Surd) -> CFExpansion:
@@ -197,21 +198,15 @@ def cf_expand(x: Surd) -> CFExpansion:
     the divisibility invariant keeps Q' integral. States (P, Q) are hashed
     and the first repeat cuts the digit list into preperiod + least period.
     """
-    digits, i = _state_walk(x)
+    digits, i, _ = _state_walk(x)
     return CFExpansion(tuple(digits[:i]), tuple(digits[i:]))
 
 
 def periodic_tail(x: Surd) -> Surd:
     """The purely periodic complete quotient where x's expansion cycles,
     i.e. the surd whose expansion is exactly the repeating period."""
-    _, i = _state_walk(x)
-    P, Q, D = x.P, x.Q, x.D
-    s = isqrt(D)
-    for _ in range(i):
-        a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    return Surd(P, Q, D)
+    _, _, (P, Q) = _state_walk(x)
+    return Surd(P, Q, x.D)
 
 
 def convergents(digits: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from quadcf import experiments
 from quadcf.arith import InvariantError
 from quadcf.experiments import CSV_HEADER, UsageError
 import quadcf.cli as cli
@@ -148,7 +150,13 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert run(["converge", "--config", str(cfgfile)]) == 2
     cfgfile.write_text("fundamental_only = maybe\n")
     assert run(["duke", "--config", str(cfgfile)]) == 2
-    capsys.readouterr()
+    cfgfile.write_text("workers = 2\n")  # duke runs in one process
+    assert run(["duke", "--config", str(cfgfile)]) == 2
+    assert "unknown config key 'workers'" in capsys.readouterr().err
+    cfgfile.write_text("format = xml\n")
+    for command in ("converge", "artin", "duke"):
+        assert run([command, "--config", str(cfgfile)]) == 2
+        assert "unknown format 'xml'" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_internal_invariant(monkeypatch, capsys):
@@ -158,3 +166,47 @@ def test_exit_code_3_on_internal_invariant(monkeypatch, capsys):
     monkeypatch.setattr(cli, "converge_scan", boom)
     assert run(["converge", "--bound", "4"]) == 3
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def test_exit_code_3_names_the_failing_n(monkeypatch, capsys):
+    real = experiments.pattern_frequency
+
+    def fail_at_n5(e, pat):  # 5*sqrt(2) = [7; 14] is the only period of length 1
+        if e.period == (14,):
+            raise InvariantError("synthetic failure")
+        return real(e, pat)
+
+    monkeypatch.setattr(experiments, "pattern_frequency", fail_at_n5)
+    assert run(["converge", "--bound", "8"]) == 3
+    assert "N=5: synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["converge", "--output", "/nonexistent/dir/x.csv"], "/nonexistent/dir/x.csv"),
+    (["duke", "--summary", "/nonexistent/s.txt"], "/nonexistent/s.txt"),
+])
+def test_exit_code_2_on_unwritable_output(argv, path, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+
+
+# sha256 of small tables, recorded before the scans shared one runner
+PINNED_TABLES = {
+    "converge --bound 30 --patterns 1;2;1,1":
+        "1ab5276d3f755489993b8e784e782a9cee25293021f94c3b4edf526cdaee5491",
+    "converge --bound 30 --patterns 1;2;1,1 --format json":
+        "37119eddfc19ba38d463f773e9b45cd6945bfbdae839296af0997e80064e6096",
+    "artin --d 5 --sequence integers --bound 200":
+        "f80cad9d54fd0b59303ae185e4e5160c4f0e26819ef9fe3198365eca375e2bb1",
+    "duke --min 5 --max 300 --fundamental-only":
+        "a444d8c85d07a50016aadcaa493c1f5d9b1e45935ed914724cd3d8d08a7531eb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TABLES))
+def test_small_tables_match_pinned_hashes(command, tmp_path):
+    out = tmp_path / "table"
+    assert run(command.split() + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TABLES[command]

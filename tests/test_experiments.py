@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from quadcf import experiments
+from quadcf.arith import InvariantError
 from quadcf.experiments import (
     ARTIN_HEADER,
     CSV_HEADER,
@@ -48,7 +50,6 @@ def test_validate_config_errors():
     for bad in [
         ScanConfig(sequence="odds"),
         ScanConfig(bound=1),
-        ScanConfig(fmt="xml"),
         ScanConfig(workers=0),
         ScanConfig(patterns=()),
         ScanConfig(patterns=((),)),
@@ -98,7 +99,7 @@ def test_converge_scan_parallel_matches_serial():
 def test_converge_stats_on_synthetic_decay():
     # deviation exactly N^-1 must fit delta_hat = 1, c_hat = 1
     def row(n, dev):
-        return DeviationRow(n, False, 1, "1", 1, 2, 0.5, dev, 0.0, 8, 0.0)
+        return DeviationRow(n, False, 1, "1", 1, 2, 0.5, dev, 8, 0.0)
 
     rows = [row(n, 1.0 / n) for n in range(2, 20)]
     st = converge_stats(rows)["1"]
@@ -127,6 +128,38 @@ def test_artin_scan_parallel_matches_serial():
     a = artin_scan(ScanConfig(d=5, bound=80))
     b = artin_scan(ScanConfig(d=5, bound=80, workers=4))
     assert a == b
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(experiments, "Pool", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    recs = artin_scan(ScanConfig(bound=30, workers=10_000))
+    assert sizes == [3]
+    assert recs == artin_scan(ScanConfig(bound=30))  # reassembled in input order
+
+
+def test_duke_scan_invariant_error_names_the_disc(monkeypatch):
+    def total_length(disc):
+        raise InvariantError("synthetic")
+
+    monkeypatch.setattr(experiments, "total_length", total_length)
+    with pytest.raises(InvariantError, match=r"^disc=5: synthetic$"):
+        duke_scan(5, 8)
 
 
 def test_artin_stats_handmade():
@@ -190,7 +223,7 @@ def test_render_table_csv_and_json():
 
 
 def test_row_value_orders_match_headers():
-    dr = DeviationRow(2, True, 2, "1", 1, 2, 0.4, 0.1, 0.7, 32, 0.3)
+    dr = DeviationRow(2, True, 2, "1", 1, 2, 0.4, 0.1, 32, 0.3)
     assert len(deviation_row_values(dr)) == len(CSV_HEADER.split(","))
     orc = OrderRecord(7, 16, 1.42, INERT, True)
     assert order_record_values(orc) == [7, 16, 1.42, "inert", True]
