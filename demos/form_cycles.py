@@ -26,7 +26,7 @@ def main() -> None:
     print()
     t = total_length(229)
     print(
-        f"disc 229: h = {t.h}, reg = {t.reg:.6f}, h*reg = {t.total:.6f}, "
+        f"disc 229: h = {t.h}, reg = {t.reg:.6f}, h*reg = {t.total_length:.6f}, "
         f"exponent = {t.exponent:.4f}"
     )
 

@@ -7,12 +7,11 @@ input order.
 """
 
 from quadcf import (
-    CSV_HEADER,
+    DeviationRow,
     ScanConfig,
     converge_scan,
     converge_stats,
     converge_summary_lines,
-    deviation_row_values,
     render_table,
 )
 
@@ -26,7 +25,7 @@ def main() -> None:
         workers=2,
     )
     rows = converge_scan(cfg)
-    table = render_table(CSV_HEADER, [deviation_row_values(r) for r in rows], "csv")
+    table = render_table(DeviationRow, rows, "csv")
     head = table.splitlines()
     print("\n".join(head[:8]))
     print(f"... {len(head) - 1} rows total")

@@ -47,7 +47,6 @@ from .matrix_orders import (
     mat_order_mod,
     max_element_order,
     ring_order_mod,
-    scan_orders,
 )
 from .hecke import (
     HeckeChain,
@@ -70,11 +69,7 @@ from .class_geodesics import (
     total_length,
 )
 from .experiments import (
-    ARTIN_HEADER,
-    CSV_HEADER,
-    DUKE_HEADER,
     DeviationRow,
-    DukeRow,
     ScanConfig,
     UsageError,
     artin_scan,
@@ -83,13 +78,10 @@ from .experiments import (
     converge_scan,
     converge_stats,
     converge_summary_lines,
-    deviation_row_values,
-    duke_row_values,
     duke_scan,
     duke_stats,
     duke_summary_lines,
     emit,
-    order_record_values,
     render_table,
 )
 

@@ -15,13 +15,6 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed (library bug, not bad input)."""
 
 
-def isqrt(n: int) -> int:
-    """Floor of the square root: r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise ValueError("isqrt of negative number")
-    return math.isqrt(n)
-
-
 def is_square(n: int) -> bool:
     if n < 0:
         return False

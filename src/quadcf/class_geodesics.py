@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import InvariantError, factorize, is_square, isqrt
+from .arith import InvariantError, factorize, is_square
 from .quad_orders import OrderSpec, field_data, regulator_of_order
 
 
 def _check_disc(disc: int) -> int:
     if disc <= 0 or disc % 4 not in (0, 1) or is_square(disc):
         raise ValueError(f"need a positive nonsquare discriminant = 0,1 mod 4, got {disc}")
-    return isqrt(disc)
+    return math.isqrt(disc)
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class IndefForm:
         # b < sqrt(disc)      <=>  b <= s        (sqrt irrational)
         # sqrt(disc) < 2|a|+b <=>  2|a|+b >= s+1
         # 2|a|-b < sqrt(disc) <=>  2|a|-b <= s
-        s = isqrt(self.disc)
+        s = math.isqrt(self.disc)
         aa = 2 * abs(self.a)
         return 0 < self.b <= s and aa + self.b >= s + 1 and aa - self.b <= s
 
@@ -75,7 +75,7 @@ def rho(F: IndefForm) -> IndefForm:
     reduced window (s - 2|c|, s]."""
     if not F.is_reduced():
         raise ValueError("rho expects a reduced form")
-    s = isqrt(F.disc)
+    s = math.isqrt(F.disc)
     two_c = 2 * abs(F.c)
     b2 = s - (s + F.b) % two_c
     c2, rem = divmod(b2 * b2 - F.disc, 4 * F.c)
@@ -94,7 +94,7 @@ def reduce_form(F: IndefForm) -> tuple[IndefForm, int]:
     while |c| is still large and in the reduced window once it is small.
     The number of steps is logarithmic in the coefficients.
     """
-    s = isqrt(F.disc)
+    s = math.isqrt(F.disc)
     max_steps = 10 + 4 * F.disc.bit_length() + 2 * max(abs(F.a), abs(F.c)).bit_length()
     steps = 0
     while not F.is_reduced():
@@ -150,8 +150,8 @@ class TotalLength:
     disc: int
     h: int
     reg: float
-    total: float
-    exponent: float  # ln(total) / ln(sqrt(disc))
+    total_length: float
+    exponent: float  # ln(total_length) / ln(sqrt(disc))
 
 
 def total_length(disc: int) -> TotalLength:

@@ -15,11 +15,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .arith import InvariantError
-from .class_geodesics import class_number, reduced_forms, total_length
+from .class_geodesics import TotalLength, class_number, reduced_forms, total_length
 from .experiments import (
-    ARTIN_HEADER,
-    CSV_HEADER,
-    DUKE_HEADER,
+    DeviationRow,
     ScanConfig,
     UsageError,
     artin_scan,
@@ -28,15 +26,13 @@ from .experiments import (
     converge_scan,
     converge_stats,
     converge_summary_lines,
-    deviation_row_values,
-    duke_row_values,
     duke_scan,
     duke_stats,
     duke_summary_lines,
     emit,
-    order_record_values,
     render_table,
 )
+from .matrix_orders import OrderRecord
 from .quad_orders import (
     R_of,
     alg_norm,
@@ -116,12 +112,12 @@ def _cast_like(example, raw: str):
 def cmd_expand(args) -> int:
     x = make_surd(args.p, args.r, args.d, args.q)
     e = cf_expand(x)
+    digits = e.digits(args.convergents)  # a negative K fails before any output
     print("preperiod:", " ".join(map(str, e.preperiod)))
     print("period:", " ".join(map(str, e.period)))
     print("period_length:", e.period_length)
-    if args.convergents:
-        pq = convergents(e.digits(args.convergents))
-        print("convergents:", " ".join(f"{p}/{q}" for p, q in pq))
+    if digits:
+        print("convergents:", " ".join(f"{p}/{q}" for p, q in convergents(digits)))
     return 0
 
 
@@ -129,12 +125,12 @@ def cmd_expand(args) -> int:
 class _ScanCommand:
     """What one scan subcommand needs beyond the shared output settings:
     its config keys with their defaults, the scan from settings to rows,
-    and how rows become a table and a summary."""
+    the row dataclass whose fields are the table's columns, and how rows
+    become a summary."""
 
     settings: dict
     scan: Callable[[dict], list]
-    header: str
-    row_values: Callable
+    row_type: type
     stats: Callable
     summary_lines: Callable
 
@@ -145,18 +141,18 @@ _SCANS = {
     "converge": _ScanCommand(
         asdict(ScanConfig()),
         lambda st: converge_scan(ScanConfig(**st)),
-        CSV_HEADER, deviation_row_values, converge_stats, converge_summary_lines,
+        DeviationRow, converge_stats, converge_summary_lines,
     ),
     "artin": _ScanCommand(
         dict(d=5, sequence="primes", bound=ScanConfig.bound,
              coprime_filter=ScanConfig.coprime_filter, workers=ScanConfig.workers),
         lambda st: artin_scan(ScanConfig(**st)),
-        ARTIN_HEADER, order_record_values, artin_stats, artin_summary_lines,
+        OrderRecord, artin_stats, artin_summary_lines,
     ),
     "duke": _ScanCommand(
         dict(min=5, max=500, fundamental_only=False),
         lambda st: duke_scan(st["min"], st["max"], st["fundamental_only"]),
-        DUKE_HEADER, duke_row_values, duke_stats, duke_summary_lines,
+        TotalLength, duke_stats, duke_summary_lines,
     ),
 }
 
@@ -170,7 +166,7 @@ def cmd_scan(args) -> int:
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
     rows = spec.scan(st)
-    emit(render_table(spec.header, [spec.row_values(r) for r in rows], fmt), output)
+    emit(render_table(spec.row_type, rows, fmt), output)
     if summary is not None:
         lines = spec.summary_lines(spec.stats(rows))
         emit("\n".join(lines) + "\n", None if summary == "-" else summary, sys.stderr)
@@ -178,6 +174,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_unit(args) -> int:
+    if args.conductor < 1:
+        raise UsageError("conductor must be >= 1")
     f = field_data(args.d)
     print(
         f"D={f.D} eps=({f.epsD.a},{f.epsD.b}) value={float(alg_value(f, f.epsD))!r} "
@@ -200,7 +198,7 @@ def cmd_classno(args) -> int:
     nred = len(reduced_forms(args.disc))
     print(
         f"disc={args.disc} h={h} reduced_forms={nred} reg={tl.reg!r} "
-        f"total_length={tl.total!r} exponent={tl.exponent!r}"
+        f"total_length={tl.total_length!r} exponent={tl.exponent!r}"
     )
     return 0
 

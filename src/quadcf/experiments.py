@@ -15,11 +15,11 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import Pool
 
 from .arith import InvariantError, is_prime
-from .class_geodesics import fundamental_decomposition, total_length
+from .class_geodesics import TotalLength, fundamental_decomposition, total_length
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
 from .matrix_orders import OrderRecord, _primes_up_to, _record_for
 from .quad_orders import (
@@ -34,6 +34,11 @@ from .surd import cf_expand, make_surd, scale
 
 class UsageError(ValueError):
     """Bad configuration or arguments; maps to exit code 2."""
+
+
+# Largest scan bound, and most values in a duke window, accepted: checked
+# before any list is built, so an oversized request fails at once.
+MAX_ITEMS = 10**6
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ def validate_config(cfg: ScanConfig, need_patterns: bool = True) -> None:
         raise UsageError(f"unknown sequence {cfg.sequence!r}")
     if cfg.bound < 2:
         raise UsageError("bound must be >= 2")
+    if cfg.bound > MAX_ITEMS:
+        raise UsageError(f"bound must be <= {MAX_ITEMS}")
     if cfg.workers < 1:
         raise UsageError("workers must be >= 1")
     if need_patterns:
@@ -71,6 +78,8 @@ def sequence_values(cfg: ScanConfig) -> list[int]:
     ns = _primes_up_to(cfg.bound) if cfg.sequence == "primes" else list(range(2, cfg.bound + 1))
     if cfg.coprime_filter:
         ns = [n for n in ns if math.gcd(n, cfg.coprime_filter) == 1]
+    if not ns:
+        raise UsageError("no N in the sequence is coprime to the filter")
     return ns
 
 
@@ -113,9 +122,6 @@ def _item_rows(kernel, ctx, ns: list[int]) -> list[list]:
 
 
 # ---- deviation scan (pattern frequencies along N*x) ----
-
-CSV_HEADER = "N,is_prime,period_length,pattern,freq_num,freq_den,c_w,deviation,disc,reg_disc_exponent"
-
 
 @dataclass(frozen=True)
 class DeviationRow:
@@ -219,9 +225,6 @@ def converge_summary_lines(stats: dict) -> list[str]:
 
 # ---- order census ----
 
-ARTIN_HEADER = "N,ord,exponent,split_type,is_max"
-
-
 def _artin_item(ctx, n: int) -> list[OrderRecord]:
     fdata, M = ctx
     return [_record_for(fdata, M, n)]
@@ -264,23 +267,14 @@ def artin_summary_lines(stats: dict) -> list[str]:
 
 # ---- form-cycle census ----
 
-DUKE_HEADER = "disc,h,reg,total_length,exponent"
-
-
-@dataclass(frozen=True)
-class DukeRow:
-    disc: int
-    h: int
-    reg: float
-    total: float
-    exponent: float
-
-
 def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     if dmin > dmax:
         raise UsageError("empty discriminant range")
+    lo = max(5, dmin)
+    if dmax - lo >= MAX_ITEMS:
+        raise UsageError(f"discriminant range holds more than {MAX_ITEMS} values")
     out = []
-    for disc in range(max(5, dmin), dmax + 1):
+    for disc in range(lo, dmax + 1):
         if disc % 4 not in (0, 1):
             continue
         s = math.isqrt(disc)
@@ -294,18 +288,17 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     return out
 
 
-def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[DukeRow]:
+def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[TotalLength]:
     rows = []
     for disc in duke_discs(dmin, dmax, fundamental_only):
         try:
-            tl = total_length(disc)
+            rows.append(total_length(disc))
         except InvariantError as e:
             raise InvariantError(f"disc={disc}: {e}") from e
-        rows.append(DukeRow(disc, tl.h, tl.reg, tl.total, tl.exponent))
     return rows
 
 
-def duke_stats(rows: list[DukeRow]) -> dict:
+def duke_stats(rows: list[TotalLength]) -> dict:
     blocks: dict[int, dict] = {}
     for k in sorted({r.disc.bit_length() - 1 for r in rows}):
         exps = [r.exponent for r in rows if r.disc.bit_length() - 1 == k]
@@ -342,30 +335,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def deviation_row_values(r: DeviationRow) -> list:
-    return [r.N, r.is_prime, r.period_length, r.pattern, r.freq_num, r.freq_den,
-            r.c_w, r.deviation, r.disc, r.reg_disc_exponent]
-
-
-def order_record_values(r: OrderRecord) -> list:
-    return [r.N, r.ord, r.exponent, r.split_type, r.is_max]
-
-
-def duke_row_values(r: DukeRow) -> list:
-    return [r.disc, r.h, r.reg, r.total, r.exponent]
-
-
-def render_table(header: str, rows: list[list], fmt: str) -> str:
-    names = header.split(",")
+def render_table(row_type: type, rows: list, fmt: str) -> str:
+    """The rows as a CSV or JSON table whose columns are the fields of the
+    dataclass row_type, in declaration order."""
+    names = [f.name for f in fields(row_type)]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(names)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(getattr(row, name)) for name in names])
         return buf.getvalue()
     return json.dumps(
-        [dict(zip(names, row)) for row in rows], indent=2, allow_nan=True
+        [{name: getattr(row, name) for name in names} for row in rows], indent=2, allow_nan=True
     ) + "\n"
 
 

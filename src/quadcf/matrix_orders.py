@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import InvariantError, factorize, is_prime, kronecker
-from .quad_orders import AlgInt, FieldData, Mat2, alg_norm, phi
+from .quad_orders import AlgInt, FieldData, Mat2, alg_norm
 
 SPLIT = "split"
 INERT = "inert"
@@ -180,18 +180,6 @@ def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:
     else:
         split_type, is_max = COMPOSITE, None
     return OrderRecord(N, o, exponent, split_type, is_max)
-
-
-def scan_orders(f: FieldData, bound: int, kind: str = "integers") -> list[OrderRecord]:
-    """Orders of phi(epsD) mod N for N = 2..bound, or mod the primes up to
-    bound. Deterministic, ascending in N."""
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
-    if kind not in ("integers", "primes"):
-        raise ValueError(f"unknown kind {kind!r}")
-    M = phi(f, f.epsD)
-    ns = range(2, bound + 1) if kind == "integers" else _primes_up_to(bound)
-    return [_record_for(f, M, N) for N in ns]
 
 
 def _primes_up_to(bound: int) -> list[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .arith import InvariantError, is_square, isqrt
+from .arith import InvariantError, is_square
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def floor_of(x: Surd) -> int:
     sqrt(D) is irrational, so for Q > 0 the floor equals (P + s) // Q with
     s = isqrt(D); for Q < 0 the numerator -P - sqrt(D) floors against s+1.
     """
-    s = isqrt(x.D)
+    s = math.isqrt(x.D)
     if x.Q > 0:
         return (x.P + s) // x.Q
     return (-x.P - s - 1) // (-x.Q)
@@ -111,7 +111,7 @@ def compare_to_fraction(x: Surd, fr: Fraction) -> int:
     a, b = fr.numerator, fr.denominator
     # x - a/b = (b*P - a*Q + b*sqrt(D)) / (b*Q), b > 0
     u = b * x.P - a * x.Q
-    s = isqrt(b * b * x.D)  # floor(b*sqrt(D))
+    s = math.isqrt(b * b * x.D)  # floor(b*sqrt(D))
     num_positive = -u <= s  # b*sqrt(D) > -u
     return (1 if num_positive else -1) * (1 if x.Q > 0 else -1)
 
@@ -131,7 +131,7 @@ def eval_approx(x: Surd, bits: int = 53) -> Fraction:
         raise ValueError("bits must be positive")
     shift = bits + 8
     while True:
-        r = isqrt(x.D << (2 * shift))
+        r = math.isqrt(x.D << (2 * shift))
         num = (x.P << shift) + r
         # relative error is at most 1/|num|; demand it under 2**-bits
         if abs(num) > (1 << bits):
@@ -159,6 +159,8 @@ class CFExpansion:
 
     def digits(self, n: int) -> list[int]:
         """First n digits of the full (eventually periodic) digit stream."""
+        if n < 0:
+            raise ValueError(f"digit count must be >= 0, got {n}")
         out = list(self.preperiod[:n])
         i = 0
         while len(out) < n:
@@ -176,7 +178,7 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     Returns (digits, index where the cycle starts, the repeated state);
     the repeated state is the purely periodic complete quotient."""
     P, Q, D = x.P, x.Q, x.D
-    s = isqrt(D)
+    s = math.isqrt(D)
     seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
     while (P, Q) not in seen:

@@ -9,23 +9,9 @@ from quadcf.arith import (
     factorize,
     is_prime,
     is_square,
-    isqrt,
     kronecker,
 )
 from helpers import jacobi, sieve_primes, trial_factor
-
-
-def test_isqrt_brackets_the_root():
-    cases = [0, 1, 2, 3, 4, 8, 9, 15, 16, 24, 25, 10**12 - 1, 10**12, 10**12 + 1,
-             (10**9 + 7) ** 2, (10**9 + 7) ** 2 - 1]
-    for n in cases:
-        s = isqrt(n)
-        assert s * s <= n < (s + 1) * (s + 1)
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
 
 
 def test_is_square():

@@ -171,9 +171,9 @@ def test_total_length_values():
     assert t.h == 2
     assert abs(t.reg - math.log(3 + math.sqrt(10))) < 1e-12
     assert abs(t.exponent - 0.7000118813107639) < 1e-12
-    assert abs(t.total - t.h * t.reg) < 1e-15
+    assert abs(t.total_length - t.h * t.reg) < 1e-15
     # conductor-2 order inside disc 5: regulator of the suborder, not regD
     t20 = total_length(20)
     assert t20.h == 1
     assert abs(t20.reg - math.log(2 + math.sqrt(5))) < 1e-12
-    assert abs(t20.exponent - math.log(t20.total) / math.log(math.sqrt(20))) < 1e-15
+    assert abs(t20.exponent - math.log(t20.total_length) / math.log(math.sqrt(20))) < 1e-15

@@ -5,8 +5,12 @@ import pytest
 
 from quadcf import experiments
 from quadcf.arith import InvariantError
-from quadcf.experiments import CSV_HEADER, UsageError
+from quadcf.experiments import UsageError
 import quadcf.cli as cli
+
+DEVIATION_HEADER = (
+    "N,is_prime,period_length,pattern,freq_num,freq_den,c_w,deviation,disc,reg_disc_exponent"
+)
 
 
 def run(argv):
@@ -53,7 +57,7 @@ def test_converge_stdout_and_summary(capsys):
     assert rc == 0
     cap = capsys.readouterr()
     lines = cap.out.splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == DEVIATION_HEADER
     assert len(lines) == 1 + 7 * 2  # N = 2..8, two patterns each
     assert cap.err.startswith("pattern 1:")
 
@@ -65,7 +69,7 @@ def test_converge_json_output(tmp_path):
     assert rc == 0
     rows = json.loads(out.read_text())
     assert [r["N"] for r in rows] == [2, 3, 4, 5, 6]
-    assert set(rows[0]) == set(CSV_HEADER.split(","))
+    assert list(rows[0]) == DEVIATION_HEADER.split(",")
 
 
 def test_converge_config_file_and_flag_override(tmp_path):
@@ -134,12 +138,23 @@ def test_exit_code_2_on_bad_usage(capsys):
         ["artin", "--d", "18"],                # not a field label
         ["duke", "--min", "10", "--max", "5"],
         ["classno", "--disc", "7"],
+        ["expand", "--d", "7", "--convergents", "-1"],
+        ["unit", "--d", "5", "--conductor", "0"],
+        ["unit", "--d", "5", "--conductor", "-3"],
+        # oversized: refused before anything is allocated or walked
+        ["converge", "--sequence", "primes", "--bound", "1000000000000000000"],
+        ["artin", "--sequence", "integers", "--bound", "1000000000000000000"],
+        ["duke", "--min", "5", "--max", "1000000000000000000"],
+        # no N survives the filter: no table, no division by zero in the summary
+        ["artin", "--bound", "2", "--coprime-filter", "2", "--summary"],
+        ["converge", "--bound", "2", "--coprime-filter", "2"],
         ["nonsense"],
         [],
     ]
     for argv in bad_invocations:
         assert run(argv) == 2, argv
-        capsys.readouterr()
+        cap = capsys.readouterr()
+        assert cap.out == "", argv  # nothing printed before the error
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -202,6 +217,10 @@ PINNED_TABLES = {
         "f80cad9d54fd0b59303ae185e4e5160c4f0e26819ef9fe3198365eca375e2bb1",
     "duke --min 5 --max 300 --fundamental-only":
         "a444d8c85d07a50016aadcaa493c1f5d9b1e45935ed914724cd3d8d08a7531eb",
+    "artin --d 5 --sequence integers --bound 200 --format json":
+        "281f63b903398037417fd158cd364a0d486865c5689e35cef14698f50aef2463",
+    "duke --min 5 --max 300 --fundamental-only --format json":
+        "5f6e3638f98aee806b664202b55b05809865ad1003db2bef4952baec11f41191",
 }
 
 

@@ -1,16 +1,14 @@
 import json
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from quadcf import experiments
 from quadcf.arith import InvariantError
 from quadcf.experiments import (
-    ARTIN_HEADER,
-    CSV_HEADER,
-    DUKE_HEADER,
+    MAX_ITEMS,
     DeviationRow,
-    DukeRow,
     ScanConfig,
     UsageError,
     artin_scan,
@@ -18,30 +16,32 @@ from quadcf.experiments import (
     converge_scan,
     converge_stats,
     converge_summary_lines,
-    deviation_row_values,
     duke_discs,
-    duke_row_values,
     duke_scan,
     duke_stats,
     duke_summary_lines,
     emit,
-    order_record_values,
     render_table,
     sequence_values,
     validate_config,
 )
-from quadcf.class_geodesics import total_length
+from quadcf.class_geodesics import TotalLength, total_length
 from quadcf.matrix_orders import INERT, RAMIFIED, SPLIT, OrderRecord
 from helpers import brute_pisano, sieve_primes
 
 
 def test_headers_are_frozen():
-    assert CSV_HEADER == (
-        "N,is_prime,period_length,pattern,freq_num,freq_den,c_w,deviation,"
-        "disc,reg_disc_exponent"
-    )
-    assert ARTIN_HEADER == "N,ord,exponent,split_type,is_max"
-    assert DUKE_HEADER == "disc,h,reg,total_length,exponent"
+    frozen = {
+        DeviationRow: (
+            "N,is_prime,period_length,pattern,freq_num,freq_den,c_w,deviation,"
+            "disc,reg_disc_exponent"
+        ),
+        OrderRecord: "N,ord,exponent,split_type,is_max",
+        TotalLength: "disc,h,reg,total_length,exponent",
+    }
+    for row_type, header in frozen.items():
+        assert render_table(row_type, [], "csv") == header + "\n"
+        assert render_table(row_type, [], "json") == "[]\n"
 
 
 def test_validate_config_errors():
@@ -59,12 +59,17 @@ def test_validate_config_errors():
             validate_config(bad)
     # pattern checks can be waived for pattern-free scans
     validate_config(ScanConfig(patterns=()), need_patterns=False)
+    validate_config(ScanConfig(bound=MAX_ITEMS))
+    with pytest.raises(UsageError, match=str(MAX_ITEMS)):
+        validate_config(ScanConfig(bound=MAX_ITEMS + 1))
 
 
 def test_sequence_values():
     assert sequence_values(ScanConfig(bound=10)) == list(range(2, 11))
     assert sequence_values(ScanConfig(bound=30, sequence="primes")) == sieve_primes(30)
     assert sequence_values(ScanConfig(bound=12, coprime_filter=6)) == [5, 7, 11]
+    with pytest.raises(UsageError, match="coprime"):
+        sequence_values(ScanConfig(bound=2, coprime_filter=2))
 
 
 def test_converge_scan_first_row_frozen():
@@ -187,6 +192,9 @@ def test_duke_discs():
         duke_discs(10, 5, False)
     with pytest.raises(UsageError):
         duke_discs(26, 27, False)  # 2 and 3 mod 4 only
+    with pytest.raises(UsageError, match=str(MAX_ITEMS)):
+        duke_discs(5, 10**18, False)  # refused before the walk starts
+    assert duke_discs(-10**18, 8, False) == [5, 8]  # the window starts at 5
 
 
 def test_duke_scan_rows():
@@ -195,13 +203,13 @@ def test_duke_scan_rows():
     assert by_disc[40].h == 2
     assert abs(by_disc[40].exponent - total_length(40).exponent) < 1e-15
     for r in rows:
-        assert abs(r.total - r.h * r.reg) < 1e-12
+        assert abs(r.total_length - r.h * r.reg) < 1e-12
 
 
 def test_duke_stats_handmade():
     rows = [
-        DukeRow(16 + i, 1, 1.0, 1.0, 0.5 + 0.1 * i) for i in range(3)  # k = 4
-    ] + [DukeRow(40, 2, 1.0, 2.0, 1.1)]  # k = 5
+        TotalLength(16 + i, 1, 1.0, 1.0, 0.5 + 0.1 * i) for i in range(3)  # k = 4
+    ] + [TotalLength(40, 2, 1.0, 2.0, 1.1)]  # k = 5
     st = duke_stats(rows)
     assert set(st["blocks"]) == {4, 5}
     assert st["blocks"][4]["n"] == 3
@@ -212,23 +220,20 @@ def test_duke_stats_handmade():
 
 
 def test_render_table_csv_and_json():
-    header = "a,b,c"
-    rows = [[1, True, None], [2, 0.5, "x"]]
-    assert render_table(header, rows, "csv") == "a,b,c\n1,true,\n2,0.5,x\n"
-    parsed = json.loads(render_table(header, rows, "json"))
-    assert parsed == [
-        {"a": 1, "b": True, "c": None},
-        {"a": 2, "b": 0.5, "c": "x"},
+    @dataclass(frozen=True)
+    class Row:  # declaration order, not name order, sets the columns
+        b: object
+        a: int
+        c: object
+
+    rows = [Row(True, 1, None), Row(0.5, 2, "x")]
+    assert render_table(Row, rows, "csv") == "b,a,c\ntrue,1,\n0.5,2,x\n"
+    text = render_table(Row, rows, "json")
+    assert json.loads(text) == [
+        {"b": True, "a": 1, "c": None},
+        {"b": 0.5, "a": 2, "c": "x"},
     ]
-
-
-def test_row_value_orders_match_headers():
-    dr = DeviationRow(2, True, 2, "1", 1, 2, 0.4, 0.1, 32, 0.3)
-    assert len(deviation_row_values(dr)) == len(CSV_HEADER.split(","))
-    orc = OrderRecord(7, 16, 1.42, INERT, True)
-    assert order_record_values(orc) == [7, 16, 1.42, "inert", True]
-    du = DukeRow(40, 2, 1.8, 3.6, 0.7)
-    assert duke_row_values(du) == [40, 2, 1.8, 3.6, 0.7]
+    assert list(json.loads(text)[0]) == ["b", "a", "c"]
 
 
 def test_emit_to_file_and_stream(tmp_path, capsys):

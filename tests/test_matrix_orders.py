@@ -12,8 +12,8 @@ from quadcf.matrix_orders import (
     mat_order_mod,
     max_element_order,
     ring_order_mod,
-    scan_orders,
 )
+from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, alg_norm, field_data, phi
 from helpers import brute_mat_order, brute_pisano, sieve_primes
 
@@ -136,8 +136,8 @@ def test_order_record_validation():
 
 
 def test_scan_orders_integers():
-    f = field_data(5)
-    recs = scan_orders(f, 12)
+    cfg = ScanConfig(d=5, sequence="integers", bound=12)
+    recs = artin_scan(cfg)
     assert [r.N for r in recs] == list(range(2, 13))
     by_n = {r.N: r for r in recs}
     assert by_n[10].split_type == COMPOSITE and by_n[10].is_max is None
@@ -145,15 +145,15 @@ def test_scan_orders_integers():
     assert by_n[2].split_type == INERT and by_n[2].is_max is None  # p = 2 excluded
     assert by_n[11].split_type == SPLIT
     assert by_n[7].ord == 16 and abs(by_n[7].exponent - math.log(16) / math.log(7)) < 1e-15
-    assert recs == scan_orders(f, 12)  # deterministic
+    assert recs == artin_scan(cfg)  # deterministic
 
 
 def test_scan_orders_primes():
-    recs = scan_orders(field_data(5), 11, kind="primes")
+    recs = artin_scan(ScanConfig(d=5, sequence="primes", bound=11))
     assert [r.N for r in recs] == [2, 3, 5, 7, 11]
     # every odd unramified prime up to 11 reaches the maximal order for D=5
     assert [r.is_max for r in recs] == [None, True, None, True, True]
     with pytest.raises(ValueError):
-        scan_orders(field_data(5), 1)
+        artin_scan(ScanConfig(d=5, bound=1))
     with pytest.raises(ValueError):
-        scan_orders(field_data(5), 10, kind="odds")
+        artin_scan(ScanConfig(d=5, sequence="odds", bound=10))
