@@ -107,9 +107,15 @@ def _cast_like(example, raw: str):
     return raw
 
 
+# Most convergents `expand` prints: checked before the digit list is built.
+MAX_CONVERGENTS = 10**4
+
+
 # ---- commands ----
 
 def cmd_expand(args) -> int:
+    if args.convergents > MAX_CONVERGENTS:
+        raise UsageError(f"--convergents must be <= {MAX_CONVERGENTS}")
     x = make_surd(args.p, args.r, args.d, args.q)
     e = cf_expand(x)
     digits = e.digits(args.convergents)  # a negative K fails before any output

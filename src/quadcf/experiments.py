@@ -36,8 +36,9 @@ class UsageError(ValueError):
     """Bad configuration or arguments; maps to exit code 2."""
 
 
-# Largest scan bound, and most values in a duke window, accepted: checked
-# before any list is built, so an oversized request fails at once.
+# Largest scan bound, and most (disc, b) pairs a duke window may walk
+# (reduced_forms tries each b <= isqrt(disc)), accepted: checked before any
+# list is built, so an oversized request fails at once.
 MAX_ITEMS = 10**6
 
 
@@ -271,8 +272,8 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     if dmin > dmax:
         raise UsageError("empty discriminant range")
     lo = max(5, dmin)
-    if dmax - lo >= MAX_ITEMS:
-        raise UsageError(f"discriminant range holds more than {MAX_ITEMS} values")
+    if (dmax - lo + 1) * math.isqrt(max(dmax, 0)) > MAX_ITEMS:
+        raise UsageError(f"discriminant range needs more than {MAX_ITEMS} (disc, b) pairs")
     out = []
     for disc in range(lo, dmax + 1):
         if disc % 4 not in (0, 1):

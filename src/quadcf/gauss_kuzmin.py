@@ -99,17 +99,19 @@ def pattern_frequency(e: CFExpansion, w) -> Fraction:
     legal and the count is over exactly L windows. The preperiod never
     enters. The result is an exact rational in lowest terms and equals the
     limiting frequency of w along the infinite digit tail.
+
+    The windows are counted in C: the period is tiled to at least L + k - 1
+    digits, and the k shifted slices of length L, zipped, are the windows.
     """
     digits = _as_digits(w)
     period = e.period
     L = len(period)
     k = len(digits)
-    count = sum(
-        1
-        for i in range(L)
-        if all(period[(i + j) % L] == digits[j] for j in range(k))
-    )
-    return Fraction(count, L)
+    if k == 1:
+        return Fraction(period.count(digits[0]), L)
+    tiled = period * ((k - 1) // L + 2)
+    windows = zip(*(tiled[j : j + L] for j in range(k)))
+    return Fraction(sum(map(digits.__eq__, windows)), L)
 
 
 def deviation(x: Surd, w) -> float:

@@ -33,18 +33,24 @@ def _mat_mul_mod(A: Mat2, B: Mat2, n: int) -> Mat2:
 
 
 def _mat_pow_mod(M: Mat2, k: int, n: int) -> Mat2:
-    R = Mat2(1 % n, 0, 0, 1 % n)
-    M = M.mod(n)
+    """M^k mod n by square and multiply on four plain ints."""
+    a, b, c, d = M.a % n, M.b % n, M.c % n, M.d % n
+    ra, rb, rc, rd = 1 % n, 0, 0, 1 % n
     while k:
         if k & 1:
-            R = _mat_mul_mod(R, M, n)
-        M = _mat_mul_mod(M, M, n)
+            ra, rb, rc, rd = (
+                (ra * a + rb * c) % n, (ra * b + rb * d) % n,
+                (rc * a + rd * c) % n, (rc * b + rd * d) % n,
+            )
         k >>= 1
-    return R
+        if k:
+            bc, t = b * c, a + d
+            a, b, c, d = (a * a + bc) % n, b * t % n, c * t % n, (d * d + bc) % n
+    return Mat2(ra, rb, rc, rd)
 
 
 def _is_identity(M: Mat2, n: int) -> bool:
-    return M == Mat2(1 % n, 0, 0, 1 % n)
+    return M.b == 0 and M.c == 0 and M.a == M.d == 1 % n
 
 
 def _order_from_bound(M: Mat2, n: int, bound: int) -> int:

@@ -174,31 +174,36 @@ class CFExpansion:
 
 
 def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
-    """Run the state recursion until the first repeated (P, Q) state.
-    Returns (digits, index where the cycle starts, the repeated state);
-    the repeated state is the purely periodic complete quotient."""
+    """Run the state recursion until the period closes. Returns (digits,
+    index where the cycle starts, the purely periodic state there).
+
+    By Galois' theorem (P + sqrt(D))/Q is purely periodic exactly when it
+    is reduced: 0 < Q <= P + s and P <= s < P + Q, with s = isqrt(D). The
+    first reduced state starts the period; the period ends when it returns."""
     P, Q, D = x.P, x.Q, x.D
     s = math.isqrt(D)
-    seen: dict[tuple[int, int], int] = {}
     digits: list[int] = []
-    while (P, Q) not in seen:
-        seen[(P, Q)] = len(digits)
+    start, P0, Q0 = -1, 0, 0  # Q is never 0, so no state matches until set
+    while True:
+        if start < 0 and 0 < Q <= P + s and P <= s < P + Q:
+            start, P0, Q0 = len(digits), P, Q
         a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
         digits.append(a)
         P = a * Q - P
-        Q2, rem = divmod(D - P * P, Q)
-        if rem:
+        n = D - P * P
+        if n % Q:
             raise InvariantError("state recursion left the integral lattice")
-        Q = Q2
-    return digits, seen[(P, Q)], (P, Q)
+        Q = n // Q
+        if Q == Q0 and P == P0:
+            return digits, start, (P, Q)
 
 
 def cf_expand(x: Surd) -> CFExpansion:
     """Expansion by the exact state recursion.
 
     a = floor((P + sqrt(D))/Q), then P' = a*Q - P and Q' = (D - P'^2)/Q;
-    the divisibility invariant keeps Q' integral. States (P, Q) are hashed
-    and the first repeat cuts the digit list into preperiod + least period.
+    the divisibility invariant keeps Q' integral. The first reduced state
+    cuts the digit list into preperiod + least period (see _state_walk).
     """
     digits, i, _ = _state_walk(x)
     return CFExpansion(tuple(digits[:i]), tuple(digits[i:]))

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+from quadcf.quad_orders import Mat2
 from quadcf.surd import Surd, make_surd
 
 
@@ -81,6 +82,29 @@ def brute_mat_order(m: tuple[int, int, int, int], n: int, cap: int = 10**7) -> i
         if k > cap:
             raise RuntimeError("brute order runaway")
     return k
+
+
+def dict_state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
+    """Continued-fraction state recursion that hashes every (P, Q) state
+    and stops at the first repeat: (digits, cycle start, repeated state)."""
+    P, Q, D = x.P, x.Q, x.D
+    seen: dict[tuple[int, int], int] = {}
+    digits: list[int] = []
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(digits)
+        a = math.floor(surd_fraction(Surd(P, Q, D)))
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    return digits, seen[(P, Q)], (P, Q)
+
+
+def repeated_mat_product(M: Mat2, k: int, n: int) -> Mat2:
+    """M^k mod n as k successive Mat2 products, each reduced mod n."""
+    R = Mat2.identity().mod(n)
+    for _ in range(k):
+        R = (R * M).mod(n)
+    return R
 
 
 def brute_pell(m: int) -> tuple[int, int, int]:

@@ -145,6 +145,9 @@ def test_exit_code_2_on_bad_usage(capsys):
         ["converge", "--sequence", "primes", "--bound", "1000000000000000000"],
         ["artin", "--sequence", "integers", "--bound", "1000000000000000000"],
         ["duke", "--min", "5", "--max", "1000000000000000000"],
+        ["duke", "--min", "5", "--max", "1000004"],
+        ["duke", "--min", "1000000000000000001", "--max", "1000000000000000001"],
+        ["expand", "--d", "7", "--convergents", "100000000"],
         # no N survives the filter: no table, no division by zero in the summary
         ["artin", "--bound", "2", "--coprime-filter", "2", "--summary"],
         ["converge", "--bound", "2", "--coprime-filter", "2"],
@@ -221,6 +224,9 @@ PINNED_TABLES = {
         "281f63b903398037417fd158cd364a0d486865c5689e35cef14698f50aef2463",
     "duke --min 5 --max 300 --fundamental-only --format json":
         "5f6e3638f98aee806b664202b55b05809865ad1003db2bef4952baec11f41191",
+    # N = 2 has period (1, 4): the 5-digit pattern spans three copies
+    "converge --bound 200 --sequence integers --patterns 1;2;1,1;1,4,1,4,1":
+        "06f254a3111297f821759b1e49cf99388baae6d02d9cbb7ef8741aa3ff124271",
 }
 
 

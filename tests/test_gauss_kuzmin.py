@@ -83,6 +83,7 @@ def test_pattern_frequency_golden_ratio():
     e = cf_expand(make_surd(1, 1, 5, 2))  # all digits are 1
     assert pattern_frequency(e, (1,)) == 1
     assert pattern_frequency(e, (1, 1, 1)) == 1
+    assert pattern_frequency(e, (1,) * 7) == 1
     assert pattern_frequency(e, (2,)) == 0
 
 
@@ -92,7 +93,23 @@ def test_pattern_frequency_counts_cyclically():
     assert pattern_frequency(e, (1,)) == Fraction(1, 2)
     assert pattern_frequency(e, (4, 1)) == Fraction(1, 2)  # wraps around
     assert pattern_frequency(e, (1, 4, 1)) == Fraction(1, 2)  # longer than period
+    assert pattern_frequency(e, (1, 4, 1, 4, 1)) == Fraction(1, 2)  # three copies
+    assert pattern_frequency(e, (4, 1, 4, 1, 4, 4)) == 0
     assert pattern_frequency(e, (1, 1)) == 0
+
+
+def test_pattern_frequency_of_factors_several_periods_long():
+    rng = random.Random(93)
+    for _ in range(200):
+        e = cf_expand(random_surd(rng))
+        L = len(e.period)
+        k = rng.randint(-(-5 * L // 2), 3 * L + 2)
+        i = rng.randrange(L)
+        ext = e.period * (k // L + 2)
+        w = ext[i : i + k]  # a factor of the digit tail
+        count = sum(ext[j : j + k] == w for j in range(L))
+        assert count >= 1
+        assert pattern_frequency(e, w) == Fraction(count, L)
 
 
 def test_pattern_frequency_matches_string_oracle():

@@ -15,7 +15,8 @@ from quadcf.matrix_orders import (
 )
 from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, alg_norm, field_data, phi
-from helpers import brute_mat_order, brute_pisano, sieve_primes
+from quadcf.matrix_orders import _mat_pow_mod
+from helpers import brute_mat_order, brute_pisano, repeated_mat_product, sieve_primes
 
 FIB_MATRIX = Mat2(0, 1, 1, 1)
 
@@ -44,6 +45,16 @@ def test_mat_order_random_large_moduli():
         if math.gcd(M.det, n) != 1 or M.det == 0:
             continue
         assert mat_order_mod(M, n) == brute_mat_order((M.a, M.b, M.c, M.d), n)
+
+
+def test_mat_pow_mod_matches_repeated_products():
+    rng = random.Random(42)
+    for _ in range(300):
+        M = Mat2(*(rng.randint(-10**6, 10**6) for _ in range(4)))
+        k, n = rng.randint(0, 70), rng.choice([1, 2, rng.randint(1, 10**4)])
+        assert _mat_pow_mod(M, k, n) == repeated_mat_product(M, k, n), (M, k, n)
+    assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 0, 9) == Mat2(1, 0, 0, 1)
+    assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 5, 1) == Mat2(0, 0, 0, 0)
 
 
 def test_mat_order_errors_and_identity_modulus():

@@ -18,7 +18,8 @@ from quadcf.surd import (
     periodic_tail,
     scale,
 )
-from helpers import cf_digits_of_fraction, random_surd, surd_fraction
+from quadcf.surd import _state_walk
+from helpers import cf_digits_of_fraction, dict_state_walk, random_surd, surd_fraction
 
 
 def test_make_surd_rescales_when_divisibility_fails():
@@ -163,6 +164,19 @@ def test_purely_periodic_iff_reduced():
         assert (len(e.preperiod) == 0) == is_reduced(x), x
         seen_reduced += is_reduced(x)
     assert 0 < seen_reduced < 400  # both branches exercised
+
+
+def test_state_walk_matches_dict_hashing_oracle():
+    rng = random.Random(84)
+    negative_q = below_one = long_preperiod = 0
+    for _ in range(3000):
+        x = random_surd(rng, ms=(2, 3, 5, 6, 7, 13, 19, 43), span=120)
+        want = dict_state_walk(x)
+        assert _state_walk(x) == want, x
+        negative_q += x.Q < 0
+        below_one += surd_fraction(x) < 1
+        long_preperiod += want[1] > 1
+    assert min(negative_q, below_one, long_preperiod) > 100
 
 
 def test_periodic_tail_is_purely_periodic_rotation():
