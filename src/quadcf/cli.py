@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .arith import InvariantError
-from .class_geodesics import TotalLength, class_number, reduced_forms, total_length
+from .class_geodesics import TotalLength, reduced_forms, total_length
 from .experiments import (
     DeviationRow,
     ScanConfig,
@@ -23,6 +23,7 @@ from .experiments import (
     artin_scan,
     artin_stats,
     artin_summary_lines,
+    check_form_work,
     converge_scan,
     converge_stats,
     converge_summary_lines,
@@ -183,10 +184,18 @@ def cmd_unit(args) -> int:
     if args.conductor < 1:
         raise UsageError("conductor must be >= 1")
     f = field_data(args.d)
-    print(
-        f"D={f.D} eps=({f.epsD.a},{f.epsD.b}) value={float(alg_value(f, f.epsD))!r} "
-        f"norm={alg_norm(f, f.epsD)} regulator={f.regD!r}"
-    )
+    try:  # built before printing, so a refused unit prints nothing
+        line = (
+            f"D={f.D} eps=({f.epsD.a},{f.epsD.b}) value={float(alg_value(f, f.epsD))!r} "
+            f"norm={alg_norm(f, f.epsD)} regulator={f.regD!r}"
+        )
+    except ValueError:  # int to str beyond the interpreter's digit limit
+        raise UsageError(
+            f"fundamental unit has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except OverflowError:
+        raise UsageError("fundamental unit is too large for a float value") from None
+    print(line)
     if args.conductor > 1:
         n = args.conductor
         idx = unit_group_index(f, n)
@@ -199,11 +208,11 @@ def cmd_unit(args) -> int:
 
 
 def cmd_classno(args) -> int:
+    check_form_work(args.disc, args.disc)
     tl = total_length(args.disc)
-    h = class_number(args.disc)
     nred = len(reduced_forms(args.disc))
     print(
-        f"disc={args.disc} h={h} reduced_forms={nred} reg={tl.reg!r} "
+        f"disc={args.disc} h={tl.h} reduced_forms={nred} reg={tl.reg!r} "
         f"total_length={tl.total_length!r} exponent={tl.exponent!r}"
     )
     return 0

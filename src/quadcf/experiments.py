@@ -268,12 +268,18 @@ def artin_summary_lines(stats: dict) -> list[str]:
 
 # ---- form-cycle census ----
 
+def check_form_work(lo: int, hi: int) -> None:
+    """Refuse the discriminants lo..hi when (hi - lo + 1) * isqrt(hi), a
+    bound on the (disc, b) pairs reduced_forms tries, exceeds MAX_ITEMS."""
+    if (hi - lo + 1) * math.isqrt(max(hi, 0)) > MAX_ITEMS:
+        raise UsageError(f"discriminants {lo}..{hi} need more than {MAX_ITEMS} (disc, b) pairs")
+
+
 def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     if dmin > dmax:
         raise UsageError("empty discriminant range")
     lo = max(5, dmin)
-    if (dmax - lo + 1) * math.isqrt(max(dmax, 0)) > MAX_ITEMS:
-        raise UsageError(f"discriminant range needs more than {MAX_ITEMS} (disc, b) pairs")
+    check_form_work(lo, dmax)
     out = []
     for disc in range(lo, dmax + 1):
         if disc % 4 not in (0, 1):

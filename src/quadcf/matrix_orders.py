@@ -1,12 +1,16 @@
 """Multiplicative orders of 2x2 integer matrices mod N and of ring
 elements in O/NO.
 
-The order mod N is assembled by CRT from prime powers. At an odd prime
-the characteristic polynomial's splitting gives a candidate exponent
-(p-1 split, p+1 or 2(p+1) inert depending on det, p(p-1) for a double
-root), the true order is extracted by stripping prime factors, and going
-from p^k to p^(k+1) multiplies the order by p or leaves it alone. p = 2
-is searched directly up to mod 8, then lifted the same way.
+Each matrix exponent here is the least j >= 1 in a subgroup of Z: the j
+with M^j = I, with M^j scalar, or with M^j = +-I mod N. Given a multiple
+of it, the least one is found by stripping the multiple's prime factors,
+keeping each removal while the power still passes (_least_exponent).
+
+For the order mod N the multiple is the lcm over p^e || N of a multiple
+of the order mod p times p^(e-1), the exponent of the kernel of reduction
+mod p^e -> p. Mod an odd p the characteristic polynomial gives it (p-1
+split, p+1 or 2(p+1) inert depending on det, p^2-1 inert otherwise,
+p(p-1) for a double root); mod 2 it is 6, the exponent of GL2(F2) = S3.
 """
 
 from __future__ import annotations
@@ -21,15 +25,6 @@ SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
 COMPOSITE = "composite"
-
-
-def _mat_mul_mod(A: Mat2, B: Mat2, n: int) -> Mat2:
-    return Mat2(
-        (A.a * B.a + A.b * B.c) % n,
-        (A.a * B.b + A.b * B.d) % n,
-        (A.c * B.a + A.d * B.c) % n,
-        (A.c * B.b + A.d * B.d) % n,
-    )
 
 
 def _mat_pow_mod(M: Mat2, k: int, n: int) -> Mat2:
@@ -53,55 +48,30 @@ def _is_identity(M: Mat2, n: int) -> bool:
     return M.b == 0 and M.c == 0 and M.a == M.d == 1 % n
 
 
-def _order_from_bound(M: Mat2, n: int, bound: int) -> int:
-    """Exact order given a multiple `bound` of it: strip prime factors."""
-    if not _is_identity(_mat_pow_mod(M, bound, n), n):
-        raise InvariantError(f"candidate exponent {bound} is not annihilating mod {n}")
-    o = bound
-    for q in factorize(bound).primes:
-        while o % q == 0 and _is_identity(_mat_pow_mod(M, o // q, n), n):
-            o //= q
-    return o
+def _least_exponent(M: Mat2, n: int, k: int, primes, accept) -> int:
+    """Least j >= 1 with accept(M^j mod n, n), given a multiple k of it and
+    every prime of k. The accepted j must form a subgroup of Z."""
+    for q in primes:
+        while k % q == 0 and accept(_mat_pow_mod(M, k // q, n), n):
+            k //= q
+    return k
 
 
-def _order_mod_odd_prime(M: Mat2, p: int) -> int:
-    t = M.trace % p
-    d = M.det % p
+def _order_multiple(M: Mat2, p: int) -> int:
+    """A multiple of the order of M mod the prime p, det M a unit mod p."""
+    if p == 2:
+        return 6  # exponent of GL2(F2) = S3
+    t, d = M.trace % p, M.det % p
     delta = (t * t - 4 * d) % p
     if delta == 0:
-        bound = p * (p - 1)  # double eigenvalue: scalar times unipotent
-    elif kronecker(delta, p) == 1:
-        bound = p - 1  # eigenvalues in F_p
-    elif d % p == 1:
-        bound = p + 1  # inert, det 1: lambda^(p+1) = 1
-    elif d % p == p - 1:
-        bound = 2 * (p + 1)  # inert, det -1: lambda^(p+1) = -1
-    else:
-        bound = p * p - 1  # inert, general det
-    return _order_from_bound(M, p, bound)
-
-
-def _order_by_search(M: Mat2, n: int, cap: int) -> int:
-    P = M.mod(n)
-    for k in range(1, cap + 1):
-        if _is_identity(P, n):
-            return k
-        P = _mat_mul_mod(P, M, n)
-    raise InvariantError(f"no order found mod {n} within {cap} steps")
-
-
-def _order_mod_prime_power(M: Mat2, p: int, e: int) -> int:
-    if p == 2:
-        k0 = min(e, 3)
-        o = _order_by_search(M, 2**k0, 2048)
-        start = k0 + 1
-    else:
-        o = _order_mod_odd_prime(M, p)
-        start = 2
-    for k in range(start, e + 1):
-        if not _is_identity(_mat_pow_mod(M, o, p**k), p**k):
-            o *= p
-    return o
+        return p * (p - 1)  # double eigenvalue: scalar times unipotent
+    if kronecker(delta, p) == 1:
+        return p - 1  # eigenvalues in F_p
+    if d == 1:
+        return p + 1  # inert, det 1: lambda^(p+1) = 1
+    if d == p - 1:
+        return 2 * (p + 1)  # inert, det -1: lambda^(p+1) = -1
+    return p * p - 1  # inert, general det
 
 
 def mat_order_mod(M: Mat2, N: int) -> int:
@@ -116,9 +86,14 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         raise ValueError("matrix is not invertible mod N")
     if N == 1:
         return 1
-    o = 1
+    k, primes = 1, set()
     for p, e in factorize(N):
-        o = math.lcm(o, _order_mod_prime_power(M, p, e))
+        m = _order_multiple(M, p)
+        k = math.lcm(k, m * p ** (e - 1))
+        primes.update(factorize(m).primes, (p,))
+    if not _is_identity(_mat_pow_mod(M, k, N), N):
+        raise InvariantError(f"candidate exponent {k} is not annihilating mod {N}")
+    o = _least_exponent(M, N, k, primes, _is_identity)
     # witness property
     if not _is_identity(_mat_pow_mod(M, o, N), N):
         raise InvariantError("claimed order does not annihilate")

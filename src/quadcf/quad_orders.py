@@ -277,46 +277,30 @@ def in_suborder(f: FieldData, alpha: AlgInt, N: int) -> bool:
 
 
 def unit_group_index(f: FieldData, N: int) -> int:
-    """(Z[xD]^x : Z[N*xD]^x): least k >= 1 with phi(epsD)^k scalar mod N.
-
-    The k with phi(eps)^k scalar mod N form a subgroup of Z containing the
-    matrix order, so the least one is found among the order's divisors.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N == 1:
-        return 1
-    from .matrix_orders import _mat_pow_mod, mat_order_mod
-
-    M = phi(f, f.epsD)
-    o = mat_order_mod(M, N)
-    Mn = M.mod(N)
-    for k in factorize(o).divisors():
-        if _mat_pow_mod(Mn, k, N).is_scalar_mod(N):
-            return k
-    raise InvariantError("no scalar power up to the matrix order")
+    """(Z[xD]^x : Z[N*xD]^x): least k >= 1 with phi(epsD)^k scalar mod N."""
+    return _least_unit_power(f, N, Mat2.is_scalar_mod)
 
 
 def R_of(f: FieldData, N: int) -> int:
-    """Least k >= 1 with phi(epsD)^k = +I or -I mod N.
+    """Least k >= 1 with phi(epsD)^k = +I or -I mod N. Can exceed
+    unit_group_index(N) by a factor of 2 (scalar powers c*I with c != +-1
+    exist)."""
+    return _least_unit_power(f, N, lambda P, n: P.b == P.c == 0 and P.a == P.d in (1, n - 1))
 
-    Either the matrix order itself or, when the order is even and the
-    half-power lands on -I, half of it. Can exceed unit_group_index(N)
-    by a factor of 2 (scalar powers c*I with c != +-1 exist)."""
+
+def _least_unit_power(f: FieldData, N: int, accept) -> int:
+    """Least k >= 1 with accept(phi(epsD)^k mod N, N). The accepted k form
+    a subgroup of Z containing the matrix order, so the least one is
+    stripped out of that order."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if N == 1:
         return 1
-    from .matrix_orders import _mat_pow_mod, mat_order_mod
+    from .matrix_orders import _least_exponent, mat_order_mod
 
     M = phi(f, f.epsD)
     o = mat_order_mod(M, N)
-    if o % 2 == 0:
-        H = _mat_pow_mod(M.mod(N), o // 2, N)
-        minus = Mat2(-1 % N, 0, 0, -1 % N)
-        if H == minus:
-            return o // 2
-    return o
+    return _least_exponent(M, N, o, factorize(o).primes, accept)
 
 
 def regulator_of_order(o: OrderSpec) -> float:

@@ -173,18 +173,25 @@ class CFExpansion:
         return len(self.period)
 
 
+# Most digits one expansion may take before its period closes. A period can
+# be about sqrt(D) long; the longest a scan within its bound needs, N*sqrt(2)
+# at N = 999983, has 742793.
+MAX_WALK_STEPS = 10**6
+
+
 def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     """Run the state recursion until the period closes. Returns (digits,
     index where the cycle starts, the purely periodic state there).
 
     By Galois' theorem (P + sqrt(D))/Q is purely periodic exactly when it
     is reduced: 0 < Q <= P + s and P <= s < P + Q, with s = isqrt(D). The
-    first reduced state starts the period; the period ends when it returns."""
+    first reduced state starts the period; the period ends when it returns.
+    A walk longer than MAX_WALK_STEPS raises ValueError."""
     P, Q, D = x.P, x.Q, x.D
     s = math.isqrt(D)
     digits: list[int] = []
     start, P0, Q0 = -1, 0, 0  # Q is never 0, so no state matches until set
-    while True:
+    for _ in range(MAX_WALK_STEPS):
         if start < 0 and 0 < Q <= P + s and P <= s < P + Q:
             start, P0, Q0 = len(digits), P, Q
         a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
@@ -196,6 +203,7 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
         Q = n // Q
         if Q == Q0 and P == P0:
             return digits, start, (P, Q)
+    raise ValueError(f"continued fraction period not closed within {MAX_WALK_STEPS} digits")
 
 
 def cf_expand(x: Surd) -> CFExpansion:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -11,6 +12,9 @@ import quadcf.cli as cli
 DEVIATION_HEADER = (
     "N,is_prime,period_length,pattern,freq_num,freq_den,c_w,deviation,disc,reg_disc_exponent"
 )
+
+# the period of its square root is about sqrt(10**30) = 10**15 digits long
+HUGE_RADICAND = "1000000000000000000000000000003"
 
 
 def run(argv):
@@ -148,6 +152,16 @@ def test_exit_code_2_on_bad_usage(capsys):
         ["duke", "--min", "5", "--max", "1000004"],
         ["duke", "--min", "1000000000000000001", "--max", "1000000000000000001"],
         ["expand", "--d", "7", "--convergents", "100000000"],
+        ["classno", "--disc", "1000000000000000000000000000005"],
+        # the period of sqrt(d) is about sqrt(d) long: stopped by the walk budget
+        ["expand", "--d", HUGE_RADICAND],
+        ["unit", "--d", HUGE_RADICAND],
+        ["converge", "--d", HUGE_RADICAND, "--bound", "3"],
+        ["artin", "--d", HUGE_RADICAND, "--bound", "3"],
+        ["converge", "--r", "1000000000000", "--bound", "3", "--workers", "2"],  # in a worker
+        # units too large to print: over the int-to-str digit limit, over the float range
+        ["unit", "--d", "17804791"],
+        ["unit", "--d", "1100023"],
         # no N survives the filter: no table, no division by zero in the summary
         ["artin", "--bound", "2", "--coprime-filter", "2", "--summary"],
         ["converge", "--bound", "2", "--coprime-filter", "2"],
@@ -158,6 +172,16 @@ def test_exit_code_2_on_bad_usage(capsys):
         assert run(argv) == 2, argv
         cap = capsys.readouterr()
         assert cap.out == "", argv  # nothing printed before the error
+
+
+def test_refusals_name_their_limit(capsys):
+    for argv, limit in [
+        (["classno", "--disc", "1000000000000000000000000000005"], "1000000 (disc, b) pairs"),
+        (["unit", "--d", "17804791"], f"more than {sys.get_int_max_str_digits()} digits"),
+        (["unit", "--d", "1100023"], "too large for a float"),
+    ]:
+        assert run(argv) == 2, argv
+        assert limit in capsys.readouterr().err, argv
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):

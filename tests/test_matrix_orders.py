@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -28,6 +29,15 @@ def test_mat_order_against_brute_oracle():
         Mat2(1, 1, 1, 2),
         Mat2(1, 2, 1, 3),
         Mat2(3, 2, 4, 3),
+        # scalar, and scalar times unipotent (double eigenvalue at every p)
+        Mat2(3, 0, 0, 3),
+        Mat2(-2, 0, 0, -2),
+        Mat2(2, 1, 0, 2),
+        Mat2(-3, 1, 0, -3),
+        # det outside {1, -1}: the general-det inert case p^2 - 1
+        Mat2(1, 1, 1, 3),
+        Mat2(0, 3, 1, 1),
+        Mat2(1, 2, -3, 4),
     ]
     for M in mats:
         tup = (M.a, M.b, M.c, M.d)
@@ -35,6 +45,11 @@ def test_mat_order_against_brute_oracle():
             if math.gcd(M.det, n) != 1:
                 continue
             assert mat_order_mod(M, n) == brute_mat_order(tup, n), (tup, n)
+    # every invertible matrix mod 8 and mod 9 (prime powers above the base prime)
+    for n in (8, 9):
+        for tup in itertools.product(range(n), repeat=4):
+            if math.gcd(tup[0] * tup[3] - tup[1] * tup[2], n) == 1:
+                assert mat_order_mod(Mat2(*tup), n) == brute_mat_order(tup, n), (tup, n)
 
 
 def test_mat_order_random_large_moduli():

@@ -171,7 +171,7 @@ def test_unit_group_index_random_against_brute():
     rng = random.Random(35)
     for _ in range(80):
         f = field_data(rng.choice([5, 8, 12, 13]))
-        n = rng.randint(2, 60)
+        n = rng.randint(2, 250)
         assert unit_group_index(f, n) == brute_unit_index(f, n), (f.D, n)
 
 
@@ -186,7 +186,7 @@ def test_sign_index_random_against_brute_and_divisibility():
     rng = random.Random(36)
     for _ in range(80):
         f = field_data(rng.choice([5, 8, 12, 13]))
-        n = rng.randint(2, 60)
+        n = rng.randint(2, 250)
         r = R_of(f, n)
         assert r == brute_sign_index(f, n), (f.D, n)
         # scalar powers come before +-identity powers

@@ -18,6 +18,7 @@ from quadcf.surd import (
     periodic_tail,
     scale,
 )
+import quadcf.surd as surd
 from quadcf.surd import _state_walk
 from helpers import cf_digits_of_fraction, dict_state_walk, random_surd, surd_fraction
 
@@ -177,6 +178,16 @@ def test_state_walk_matches_dict_hashing_oracle():
         below_one += surd_fraction(x) < 1
         long_preperiod += want[1] > 1
     assert min(negative_q, below_one, long_preperiod) > 100
+
+
+def test_state_walk_stops_at_its_step_budget(monkeypatch):
+    x = make_surd(0, 1, 7, 1)  # sqrt(7) = [2; 1, 1, 1, 4]: five digits walked
+    monkeypatch.setattr(surd, "MAX_WALK_STEPS", 5)
+    assert cf_expand(x) == CFExpansion((2,), (1, 1, 1, 4))
+    monkeypatch.setattr(surd, "MAX_WALK_STEPS", 4)
+    for walk in (cf_expand, periodic_tail):
+        with pytest.raises(ValueError, match="within 4 digits"):
+            walk(x)
 
 
 def test_periodic_tail_is_purely_periodic_rotation():
