@@ -3,58 +3,39 @@ matrix-order, lattice, and form-class machinery needed to study digit
 statistics along arithmetic sequences of multiples.
 """
 
-from .arith import Factorization, InvariantError, factorize, is_prime, is_square, kronecker
+from .arith import Factorization, InvariantError, factorize
 from .surd import (
     CFExpansion,
     Surd,
     cf_expand,
     compare_to_fraction,
     convergents,
-    eval_approx,
-    floor_of,
-    is_reduced,
     make_surd,
     mobius,
     periodic_tail,
     scale,
 )
-from .gauss_kuzmin import Cylinder, GaussMeasure, Pattern, c_w, cylinder, deviation, pattern_frequency
+from .gauss_kuzmin import Cylinder, GaussMeasure, Pattern, c_w, cylinder, pattern_frequency
 from .quad_orders import (
     AlgInt,
     FieldData,
     Mat2,
     OrderSpec,
     R_of,
-    alg_conj,
-    alg_log,
-    alg_mul,
-    alg_norm,
     alg_pow,
-    alg_trace,
     alg_value,
     conductor_of_surd,
-    disc_of_suborder,
     field_data,
-    in_suborder,
     phi,
     regulator_of_order,
-    surd_coords,
-    unit_from_period,
     unit_group_index,
 )
-from .matrix_orders import (
-    OrderRecord,
-    mat_order_mod,
-    max_element_order,
-    ring_order_mod,
-)
+from .matrix_orders import OrderRecord, mat_order_mod
 from .hecke import (
     HeckeChain,
     are_neighbors,
     chain_between,
-    chain_to_generator,
     conductor_bounds_check,
-    same_lattice,
     scale_chain,
     unit_index_check,
 )
@@ -62,8 +43,6 @@ from .class_geodesics import (
     IndefForm,
     TotalLength,
     class_number,
-    fundamental_decomposition,
-    reduce_form,
     reduced_forms,
     rho,
     total_length,
@@ -81,7 +60,6 @@ from .experiments import (
     duke_scan,
     duke_stats,
     duke_summary_lines,
-    emit,
     render_table,
 )
 

@@ -35,13 +35,11 @@ from .experiments import (
 )
 from .matrix_orders import OrderRecord
 from .quad_orders import (
+    OrderSpec,
     R_of,
-    alg_norm,
     alg_value,
-    disc_of_suborder,
     field_data,
     regulator_of_order,
-    OrderSpec,
     unit_group_index,
 )
 from .surd import cf_expand, convergents, make_surd
@@ -181,13 +179,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_unit(args) -> int:
-    if args.conductor < 1:
-        raise UsageError("conductor must be >= 1")
     f = field_data(args.d)
+    o = OrderSpec(f, args.conductor)  # a conductor below 1 fails before any output
     try:  # built before printing, so a refused unit prints nothing
         line = (
             f"D={f.D} eps=({f.epsD.a},{f.epsD.b}) value={float(alg_value(f, f.epsD))!r} "
-            f"norm={alg_norm(f, f.epsD)} regulator={f.regD!r}"
+            f"norm={f.unit_norm} regulator={f.regD!r}"
         )
     except ValueError:  # int to str beyond the interpreter's digit limit
         raise UsageError(
@@ -196,13 +193,10 @@ def cmd_unit(args) -> int:
     except OverflowError:
         raise UsageError("fundamental unit is too large for a float value") from None
     print(line)
-    if args.conductor > 1:
-        n = args.conductor
-        idx = unit_group_index(f, n)
+    if o.f > 1:
         print(
-            f"conductor={n} disc={disc_of_suborder(f, n)} unit_index={idx} "
-            f"pm_index={R_of(f, n)} "
-            f"order_regulator={regulator_of_order(OrderSpec(f, n))!r}"
+            f"conductor={o.f} disc={o.disc} unit_index={unit_group_index(f, o.f)} "
+            f"pm_index={R_of(f, o.f)} order_regulator={regulator_of_order(o)!r}"
         )
     return 0
 

@@ -136,7 +136,7 @@ def chain_between(x: Surd, y: Surd) -> HeckeChain:
         nodes.append(z)
         steps.append((q, UP))
 
-    if z.value_key() != y.value_key():
+    if surd_coords(z) != (my, uy, vy, wy):
         raise InvariantError("chain did not land on the target")
     chain = HeckeChain(tuple(nodes), tuple(steps))
     _verify_chain(chain)

@@ -1,5 +1,4 @@
-"""Multiplicative orders of 2x2 integer matrices mod N and of ring
-elements in O/NO.
+"""Multiplicative orders of 2x2 integer matrices mod N.
 
 Each matrix exponent here is the least j >= 1 in a subgroup of Z: the j
 with M^j = I, with M^j scalar, or with M^j = +-I mod N. Given a multiple
@@ -19,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import InvariantError, factorize, is_prime, kronecker
-from .quad_orders import AlgInt, FieldData, Mat2, alg_norm
+from .quad_orders import FieldData, Mat2
 
 SPLIT = "split"
 INERT = "inert"
@@ -101,26 +100,6 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         if _is_identity(_mat_pow_mod(M, o // q, N), N):
             raise InvariantError("claimed order is not minimal")
     return o
-
-
-def ring_order_mod(f: FieldData, alpha: AlgInt, N: int) -> int:
-    """Order of alpha in (O/NO)^x by repeated multiplication with
-    coordinates reduced mod N each step. Needs gcd(norm(alpha), N) = 1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if math.gcd(alg_norm(f, alpha), N) != 1:
-        raise ValueError("element is not invertible mod N")
-    if N == 1:
-        return 1
-    a0, b0 = alpha.a % N, alpha.b % N
-    a, b = a0, b0
-    t, nrm = f.t % N, f.nrm % N
-    for k in range(1, 4 * N * N + 2):
-        if a == 1 and b == 0:
-            return k
-        bb = b * b0 % N
-        a, b = (a * a0 - bb * nrm) % N, (a * b0 + b * a0 + bb * t) % N
-    raise InvariantError("order search exceeded the group size")
 
 
 def max_element_order(f: FieldData, p: int) -> int:

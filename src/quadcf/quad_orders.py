@@ -113,21 +113,18 @@ def field_data(d: int) -> FieldData:
     """Accepts a squarefree m > 1 or a fundamental discriminant D > 0.
 
     Rejects perfect squares, m <= 1, and discriminants with a square
-    factor that are not of the 4m shape.
+    factor that are not of the 4m shape. m and xD follow from d mod 4;
+    the unit's period is walked (its length is bounded) before m is
+    factored, once, to check that it is squarefree.
     """
     if d <= 1:
         raise ValueError("need an integer > 1")
     if is_square(d):
         raise ValueError(f"{d} is a perfect square")
-    fac = factorize(d)
-    if d % 4 == 0:
-        m = d // 4
-        if m <= 1 or not factorize(m).is_squarefree() or m % 4 == 1:
-            raise ValueError(f"{d} is not a fundamental discriminant")
-    elif fac.is_squarefree():
-        m = d
-    else:
-        raise ValueError(f"{d} is neither squarefree nor a fundamental discriminant")
+    m = d // 4 if d % 4 == 0 else d
+    not_fundamental = f"{d} is neither squarefree nor a fundamental discriminant"
+    if m != d and m % 4 in (0, 1):
+        raise ValueError(not_fundamental)
     if m % 4 == 1:
         D = m
         xD = make_surd(1, 1, m, 2)
@@ -136,12 +133,10 @@ def field_data(d: int) -> FieldData:
         D = 4 * m
         xD = make_surd(0, 1, m, 1)
         t, nrm = 0, -m
-    eps = _unit_from_period(m, t, nrm, xD)
-    norm = eps.a * eps.a + eps.a * eps.b * t + eps.b * eps.b * nrm
-    if norm not in (1, -1):
-        raise InvariantError("period unit is not a unit")
-    reg = _log_value(xD, eps)
-    return FieldData(m, D, xD, t, nrm, eps, reg, norm)
+    eps, norm = _unit_from_period(m, t, nrm, xD)
+    if not factorize(m).is_squarefree():
+        raise ValueError(not_fundamental)
+    return FieldData(m, D, xD, t, nrm, eps, _log_value(xD, eps), norm)
 
 
 # ---- element arithmetic ----
@@ -204,8 +199,15 @@ def surd_coords(x: Surd) -> tuple[int, int, int, int]:
     """(m, u, v, w): x = (u + v*xD)/w with w > 0, gcd(u, v, w) = 1, v != 0.
 
     m is the squarefree part of the radicand and fixes which xD is meant.
+    The tuple is a canonical label of x's value: two surds are equal
+    numbers exactly when their coordinates match.
     """
     m, r = factorize(x.D).squarefree_kernel()
+    return (m, *_coords(m, r, x))
+
+
+def _coords(m: int, r: int, x: Surd) -> tuple[int, int, int]:
+    """surd_coords(x) without m, given x.D = r*r*m with m squarefree."""
     if m % 4 == 1:
         u, v, w = x.P - r, 2 * r, x.Q  # sqrt(m) = 2*xD - 1
     else:
@@ -213,12 +215,13 @@ def surd_coords(x: Surd) -> tuple[int, int, int, int]:
     if w < 0:
         u, v, w = -u, -v, -w
     g = math.gcd(math.gcd(u, v), w)
-    return m, u // g, v // g, w // g
+    return u // g, v // g, w // g
 
 
-def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> AlgInt:
-    """Smallest unit > 1 of the stabilizer order of Z + Z*z, read off one
-    least period of z's continued fraction.
+def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> tuple[AlgInt, int]:
+    """Smallest unit > 1 of the stabilizer order of Z + Z*z, and its norm,
+    read off one least period of z's continued fraction. z.D must be a
+    square times the squarefree m.
 
     If M is the product of the digit matrices [[a,1],[1,0]] over one
     period of the purely periodic tail y, then y is fixed by M as a Mobius
@@ -227,9 +230,10 @@ def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> AlgInt:
     """
     digits, i, (P, Q) = _state_walk(z)
     period = digits[i:]
-    m2, uy, vy, wy = surd_coords(Surd(P, Q, z.D))
-    if m2 != m:
+    r = math.isqrt(z.D // m)
+    if r * r * m != z.D:
         raise InvariantError("tail left the field")
+    uy, vy, wy = _coords(m, r, Surd(P, Q, z.D))
     M = Mat2.identity()
     for a in period:
         M = M * Mat2(a, 1, 1, 0)
@@ -241,7 +245,7 @@ def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> AlgInt:
     norm = eps.a * eps.a + eps.a * eps.b * t + eps.b * eps.b * nrm
     if norm != (-1) ** len(period):
         raise InvariantError("automorph norm disagrees with period parity")
-    return eps
+    return eps, norm
 
 
 def unit_from_period(f: FieldData, z: Surd) -> AlgInt:
@@ -250,18 +254,10 @@ def unit_from_period(f: FieldData, z: Surd) -> AlgInt:
     m2 = surd_coords(z)[0]
     if m2 != f.m:
         raise ValueError("surd lies in a different field")
-    return _unit_from_period(f.m, f.t, f.nrm, z)
+    return _unit_from_period(f.m, f.t, f.nrm, z)[0]
 
 
 # ---- suborders ----
-
-def disc_of_suborder(f: FieldData, N: int) -> int:
-    """Discriminant of Z[N*xD]: field disc times the square of the lattice
-    index N of Z[N*xD] in Z[xD]."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return f.D * N * N
-
 
 def in_suborder(f: FieldData, alpha: AlgInt, N: int) -> bool:
     """Membership of alpha in Z[N*xD], decided twice: the coordinate test

@@ -35,18 +35,6 @@ class Surd:
         """(P - sqrt(D))/Q, rewritten to keep +sqrt(D) in the numerator."""
         return Surd(-self.P, -self.Q, self.D)
 
-    def value_key(self) -> tuple[int, int, int, int]:
-        """Canonical label (m, p, r, q) of the real number (p + r*sqrt(m))/q
-        with m squarefree-radicand part of D, q > 0, gcd(p, r, q) = 1.
-        Two surds denote the same real number iff their keys match."""
-        from .arith import factorize  # local: avoids import at hot paths
-        m, k = factorize(self.D).squarefree_kernel()
-        p, r, q = self.P, k, self.Q
-        if q < 0:
-            p, r, q = -p, -r, -q
-        g = math.gcd(math.gcd(p, r), q)
-        return (m, p // g, r // g, q // g)
-
     def __float__(self) -> float:
         return float(eval_approx(self, 64))
 
@@ -94,18 +82,6 @@ def mobius(x: Surd, a: int, b: int, c: int) -> Surd:
     return make_surd(a * x.P + b * x.Q, a, x.D, c * x.Q)
 
 
-def floor_of(x: Surd) -> int:
-    """Exact floor, via isqrt only.
-
-    sqrt(D) is irrational, so for Q > 0 the floor equals (P + s) // Q with
-    s = isqrt(D); for Q < 0 the numerator -P - sqrt(D) floors against s+1.
-    """
-    s = math.isqrt(x.D)
-    if x.Q > 0:
-        return (x.P + s) // x.Q
-    return (-x.P - s - 1) // (-x.Q)
-
-
 def compare_to_fraction(x: Surd, fr: Fraction) -> int:
     """Sign of x - fr (never 0: x is irrational). Exact."""
     a, b = fr.numerator, fr.denominator
@@ -116,13 +92,17 @@ def compare_to_fraction(x: Surd, fr: Fraction) -> int:
     return (1 if num_positive else -1) * (1 if x.Q > 0 else -1)
 
 
+def _reduced(P: int, Q: int, s: int) -> bool:
+    """Is (P + sqrt(D))/Q reduced, i.e. x > 1 and its conjugate in (-1, 0)?
+    s = isqrt(D). Term by term: x > 1 is Q <= P + s, conjugate < 0 is
+    P <= s, conjugate > -1 is s < P + Q; the last two force Q > 0, and
+    no surd with Q < 0 is reduced."""
+    return Q <= P + s and P <= s < P + Q
+
+
 def is_reduced(x: Surd) -> bool:
     """Purely periodic criterion: x > 1 and conjugate strictly in (-1, 0)."""
-    one, zero, minus_one = Fraction(1), Fraction(0), Fraction(-1)
-    if compare_to_fraction(x, one) < 0:
-        return False
-    xb = x.conjugate()
-    return compare_to_fraction(xb, minus_one) > 0 and compare_to_fraction(xb, zero) < 0
+    return _reduced(x.P, x.Q, math.isqrt(x.D))
 
 
 def eval_approx(x: Surd, bits: int = 53) -> Fraction:
@@ -184,15 +164,15 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     index where the cycle starts, the purely periodic state there).
 
     By Galois' theorem (P + sqrt(D))/Q is purely periodic exactly when it
-    is reduced: 0 < Q <= P + s and P <= s < P + Q, with s = isqrt(D). The
-    first reduced state starts the period; the period ends when it returns.
+    is reduced (_reduced). The first reduced state starts the period; the
+    period ends when it returns.
     A walk longer than MAX_WALK_STEPS raises ValueError."""
     P, Q, D = x.P, x.Q, x.D
     s = math.isqrt(D)
     digits: list[int] = []
     start, P0, Q0 = -1, 0, 0  # Q is never 0, so no state matches until set
     for _ in range(MAX_WALK_STEPS):
-        if start < 0 and 0 < Q <= P + s and P <= s < P + Q:
+        if start < 0 and _reduced(P, Q, s):
             start, P0, Q0 = len(digits), P, Q
         a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
         digits.append(a)

@@ -107,6 +107,33 @@ def repeated_mat_product(M: Mat2, k: int, n: int) -> Mat2:
     return R
 
 
+def ring_order_mod(f, alpha, N: int) -> int:
+    """Order of alpha in (O/NO)^x by repeated multiplication with
+    coordinates reduced mod N each step. Needs gcd(norm(alpha), N) = 1."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    a0, b0 = alpha.a, alpha.b
+    if math.gcd(a0 * a0 + a0 * b0 * f.t + b0 * b0 * f.nrm, N) != 1:
+        raise ValueError("element is not invertible mod N")
+    if N == 1:
+        return 1
+    a0, b0 = a0 % N, b0 % N
+    a, b = a0, b0
+    t, nrm = f.t % N, f.nrm % N
+    for k in range(1, 4 * N * N + 2):
+        if a == 1 and b == 0:
+            return k
+        bb = b * b0 % N
+        a, b = (a * a0 - bb * nrm) % N, (a * b0 + b * a0 + bb * t) % N
+    raise RuntimeError("order search exceeded the group size")
+
+
+def reduced_by_fractions(x: Surd) -> bool:
+    """x > 1 and its conjugate strictly in (-1, 0), compared as
+    160-bit fractions."""
+    return surd_fraction(x) > 1 and -1 < surd_fraction(x.conjugate()) < 0
+
+
 def brute_pell(m: int) -> tuple[int, int, int]:
     """Smallest unit > 1 of the maximal order of Q(sqrt(m)), m squarefree,
     as coordinates (a, b) in the basis (1, xD) plus its norm.

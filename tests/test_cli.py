@@ -15,6 +15,7 @@ DEVIATION_HEADER = (
 
 # the period of its square root is about sqrt(10**30) = 10**15 digits long
 HUGE_RADICAND = "1000000000000000000000000000003"
+SEMIPRIME_RADICAND = "5859824980284060829895849672056204220491"
 
 
 def run(argv):
@@ -158,6 +159,9 @@ def test_exit_code_2_on_bad_usage(capsys):
         ["unit", "--d", HUGE_RADICAND],
         ["converge", "--d", HUGE_RADICAND, "--bound", "3"],
         ["artin", "--d", HUGE_RADICAND, "--bound", "3"],
+        # two 20-digit prime factors: the walk refuses it before anything is factored
+        ["unit", "--d", SEMIPRIME_RADICAND],
+        ["artin", "--d", SEMIPRIME_RADICAND],
         ["converge", "--r", "1000000000000", "--bound", "3", "--workers", "2"],  # in a worker
         # units too large to print: over the int-to-str digit limit, over the float range
         ["unit", "--d", "17804791"],

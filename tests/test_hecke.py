@@ -21,6 +21,7 @@ from quadcf.quad_orders import (
     conductor_of_surd,
     field_data,
     in_suborder,
+    surd_coords,
     unit_group_index,
 )
 from quadcf.surd import make_surd, mobius, scale
@@ -64,14 +65,14 @@ def test_chain_frozen_examples():
     f2, f5 = field_data(2), field_data(5)
     c = chain_between(f2.xD, scale(f2.xD, 5))
     assert c.steps == ((5, DOWN),) and len(c) == 1
-    assert c.nodes[0].value_key() == f2.xD.value_key()
+    assert surd_coords(c.nodes[0]) == surd_coords(f2.xD)
 
     # y = (3*xD + 1)/2: one step down by 3, one step up by 2
     y = mobius(f5.xD, 3, 1, 2)
     c = chain_between(f5.xD, y)
     assert c.steps == ((3, DOWN), (2, UP))
     assert c.primes() == [2, 3]
-    assert c.nodes[-1].value_key() == y.value_key()
+    assert surd_coords(c.nodes[-1]) == surd_coords(y)
 
     # same value: empty chain staying put
     c = chain_between(f5.xD, f5.xD)
@@ -80,7 +81,7 @@ def test_chain_frozen_examples():
     # same lattice but different value: a single free move, no prime steps
     c = chain_between(make_surd(13, 1, 3, 1), field_data(3).xD)
     assert c.steps == ()
-    assert c.nodes[-1].value_key() == field_data(3).xD.value_key()
+    assert surd_coords(c.nodes[-1]) == surd_coords(field_data(3).xD)
 
     with pytest.raises(ValueError):
         chain_between(f2.xD, f5.xD)
@@ -90,7 +91,7 @@ def test_chain_to_generator_pure_division():
     f = field_data(2)
     c = chain_to_generator(f, scale(f.xD, 6))
     assert c.steps == ((2, UP), (3, UP))
-    assert c.nodes[-1].value_key() == f.xD.value_key()
+    assert surd_coords(c.nodes[-1]) == surd_coords(f.xD)
 
 
 def test_chain_between_random_pairs():
@@ -100,7 +101,7 @@ def test_chain_between_random_pairs():
         x = random_surd(rng, ms=(m,), span=12)
         y = random_surd(rng, ms=(m,), span=12)
         c = chain_between(x, y)  # every step re-verified internally
-        assert c.nodes[-1].value_key() == y.value_key()
+        assert surd_coords(c.nodes[-1]) == surd_coords(y)
         for p, _ in c.steps:
             assert p in c.primes()
 
@@ -121,8 +122,8 @@ def test_scale_chain_preserves_steps():
         n = rng.randint(1, 50)
         sc = scale_chain(c, n)  # re-verified internally step by step
         assert sc.steps == c.steps
-        assert sc.nodes[0].value_key() == scale(x, n).value_key()
-        assert sc.nodes[-1].value_key() == scale(y, n).value_key()
+        assert surd_coords(sc.nodes[0]) == surd_coords(scale(x, n))
+        assert surd_coords(sc.nodes[-1]) == surd_coords(scale(y, n))
     with pytest.raises(ValueError):
         scale_chain(chain_between(x, y), 0)
 

@@ -12,12 +12,11 @@ from quadcf.matrix_orders import (
     OrderRecord,
     mat_order_mod,
     max_element_order,
-    ring_order_mod,
 )
 from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, alg_norm, field_data, phi
 from quadcf.matrix_orders import _mat_pow_mod
-from helpers import brute_mat_order, brute_pisano, repeated_mat_product, sieve_primes
+from helpers import brute_mat_order, brute_pisano, repeated_mat_product, ring_order_mod, sieve_primes
 
 FIB_MATRIX = Mat2(0, 1, 1, 1)
 

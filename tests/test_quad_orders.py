@@ -17,7 +17,6 @@ from quadcf.quad_orders import (
     alg_trace,
     alg_value,
     conductor_of_surd,
-    disc_of_suborder,
     field_data,
     in_suborder,
     phi,
@@ -196,14 +195,14 @@ def test_sign_index_random_against_brute_and_divisibility():
 def test_regulator_of_suborders():
     f = field_data(5)
     o = OrderSpec(f, 2)
-    assert o.disc == 20 == disc_of_suborder(f, 2)
+    assert o.disc == 20
     # smallest unit of the conductor-2 order is golden^3 = 2 + sqrt(5)
     assert abs(regulator_of_order(o) - math.log(2 + math.sqrt(5))) < 1e-12
     assert regulator_of_order(OrderSpec(f, 1)) == f.regD
     with pytest.raises(ValueError):
         OrderSpec(f, 0)
     with pytest.raises(ValueError):
-        disc_of_suborder(f, -3)
+        OrderSpec(f, -3)
 
 
 def test_conductor_frozen_values():

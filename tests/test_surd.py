@@ -11,7 +11,6 @@ from quadcf.surd import (
     compare_to_fraction,
     convergents,
     eval_approx,
-    floor_of,
     is_reduced,
     make_surd,
     mobius,
@@ -20,7 +19,8 @@ from quadcf.surd import (
 )
 import quadcf.surd as surd
 from quadcf.surd import _state_walk
-from helpers import cf_digits_of_fraction, dict_state_walk, random_surd, surd_fraction
+from quadcf.quad_orders import surd_coords
+from helpers import cf_digits_of_fraction, dict_state_walk, random_surd, reduced_by_fractions, surd_fraction
 
 
 def test_make_surd_rescales_when_divisibility_fails():
@@ -77,12 +77,12 @@ def test_canonical_invariant_holds_on_random_inputs():
         assert abs(float(y) - want) < 1e-9 * max(1, abs(want))
 
 
-def test_value_key_identifies_equal_numbers():
+def test_surd_coords_identify_equal_numbers():
     a = make_surd(1, 2, 3, 2)     # (1 + 2*sqrt(3))/2
     b = make_surd(2, 4, 3, 4)     # same number, doubled
     c = make_surd(3, 2, 27, 6)    # (3 + 2*sqrt(27))/6, same after folding
-    assert a.value_key() == b.value_key() == c.value_key()
-    assert a.value_key() != make_surd(1, 2, 3, -2).value_key()
+    assert surd_coords(a) == surd_coords(b) == surd_coords(c)
+    assert surd_coords(a) != surd_coords(make_surd(1, 2, 3, -2))
 
 
 def test_conjugate_flips_the_root():
@@ -93,12 +93,12 @@ def test_conjugate_flips_the_root():
     assert abs(float(x) * float(y) - (x.P**2 - x.D) / x.Q**2) < 1e-9
 
 
-def test_floor_of_matches_high_precision_oracle():
+def test_floor_matches_high_precision_oracle():
     rng = random.Random(77)
     for _ in range(400):
         x = random_surd(rng, ms=(2, 3, 5, 13, 17, 29), span=120)
         fr = surd_fraction(x)
-        assert floor_of(x) == math.floor(fr), x
+        assert cf_expand(x).digits(1) == [math.floor(fr)], x
 
 
 def test_compare_to_fraction_is_exact():
@@ -162,7 +162,7 @@ def test_purely_periodic_iff_reduced():
     for _ in range(400):
         x = random_surd(rng)
         e = cf_expand(x)
-        assert (len(e.preperiod) == 0) == is_reduced(x), x
+        assert (len(e.preperiod) == 0) == is_reduced(x) == reduced_by_fractions(x), x
         seen_reduced += is_reduced(x)
     assert 0 < seen_reduced < 400  # both branches exercised
 

@@ -1,0 +1,55 @@
+import ast
+import sys
+import types
+from pathlib import Path
+
+import quadcf
+
+SRC = Path(quadcf.__file__).parent
+
+
+def test_public_names_are_frozen():
+    # the README lists these, module by module; a new export must be added there too
+    frozen = {
+        # arith
+        "Factorization", "InvariantError", "factorize",
+        # surd
+        "CFExpansion", "Surd", "cf_expand", "compare_to_fraction", "convergents",
+        "make_surd", "mobius", "periodic_tail", "scale",
+        # gauss_kuzmin
+        "Cylinder", "GaussMeasure", "Pattern", "c_w", "cylinder", "pattern_frequency",
+        # quad_orders
+        "AlgInt", "FieldData", "Mat2", "OrderSpec", "R_of", "alg_pow", "alg_value",
+        "conductor_of_surd", "field_data", "phi", "regulator_of_order", "unit_group_index",
+        # matrix_orders
+        "OrderRecord", "mat_order_mod",
+        # hecke
+        "HeckeChain", "are_neighbors", "chain_between", "conductor_bounds_check",
+        "scale_chain", "unit_index_check",
+        # class_geodesics
+        "IndefForm", "TotalLength", "class_number", "reduced_forms", "rho", "total_length",
+        # experiments
+        "DeviationRow", "ScanConfig", "UsageError", "artin_scan", "artin_stats",
+        "artin_summary_lines", "converge_scan", "converge_stats", "converge_summary_lines",
+        "duke_scan", "duke_stats", "duke_summary_lines", "render_table",
+    }
+    public = {
+        name for name, obj in vars(quadcf).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert public == frozen
+
+
+def test_library_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names, (path.name, node.lineno, top)
