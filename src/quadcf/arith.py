@@ -1,4 +1,5 @@
-"""Integer groundwork: primality, factorization, Kronecker symbol.
+"""Integer groundwork: primality, prime sieve, factorization, square roots
+mod a prime, Kronecker symbol.
 
 Everything here is exact; no floats. Numbers are plain Python ints and may
 be arbitrarily large.
@@ -29,6 +30,16 @@ _MR_DET_LIMIT = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """The primes <= bound, ascending (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return [i for i in range(2, bound + 1) if sieve[i]]
 
 
 def _mr_witness(n: int, a: int) -> bool:
@@ -134,8 +145,8 @@ class Factorization:
             block = []
             for _ in range(e):
                 pk *= p
-                block.extend(d * pk for d in divs)
-            divs.extend(block)
+                block += [d * pk for d in divs]
+            divs += block
         return sorted(divs)
 
     def squarefree_kernel(self) -> tuple[int, int]:
@@ -150,7 +161,9 @@ class Factorization:
 
 def factorize(n: int) -> Factorization:
     """Full factorization: trial division to 10**4, then Pollard rho (Brent)
-    on whatever is left, recursing until all cofactors are proven prime."""
+    on whatever is left, recursing until all cofactors are proven prime. A
+    cofactor left once trial division passes its square root is prime
+    without a test."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     m = n
@@ -161,7 +174,13 @@ def factorize(n: int) -> Factorization:
             counts[d] = counts.get(d, 0) + 1
             m //= d
         d += 1 if d == 2 else 2
-    stack = [m] if m > 1 else []
+    if d * d > m:
+        # trial division passed sqrt(m): what is left is 1 or a prime
+        stack = []
+        if m > 1:
+            counts[m] = 1
+    else:
+        stack = [m]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -182,6 +201,36 @@ def factorize(n: int) -> Factorization:
     if check != n:
         raise InvariantError(f"factorization of {n} does not multiply back")
     return fac
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, or None when a is not a
+    square mod p (Euler's criterion, then Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, k = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        k += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then b = c^(2^(k-i-1)) halves t's order
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (k - i - 1), p)
+        k, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def kronecker(a: int, n: int) -> int:

@@ -9,20 +9,26 @@ cycle count times the order's regulator is the total length invariant.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import InvariantError, factorize, is_square
+from .arith import Factorization, InvariantError, factorize, is_square, primes_up_to, sqrt_mod
 from .quad_orders import OrderSpec, field_data, regulator_of_order
 
 
+@functools.lru_cache(maxsize=128)
 def _check_disc(disc: int) -> int:
+    """isqrt(disc), once disc is known to be a positive nonsquare = 0, 1
+    mod 4. Memoised, since every form built or tested asks again for the
+    one discriminant of its cycle."""
     if disc <= 0 or disc % 4 not in (0, 1) or is_square(disc):
         raise ValueError(f"need a positive nonsquare discriminant = 0,1 mod 4, got {disc}")
     return math.isqrt(disc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndefForm:
     a: int
     b: int
@@ -42,9 +48,56 @@ class IndefForm:
         # b < sqrt(disc)      <=>  b <= s        (sqrt irrational)
         # sqrt(disc) < 2|a|+b <=>  2|a|+b >= s+1
         # 2|a|-b < sqrt(disc) <=>  2|a|-b <= s
-        s = math.isqrt(self.disc)
+        s = _check_disc(self.disc)
         aa = 2 * abs(self.a)
         return 0 < self.b <= s and aa + self.b >= s + 1 and aa - self.b <= s
+
+
+def _factor_products(disc: int) -> Iterator[tuple[int, Factorization]]:
+    """(b, factorization of m = (disc - b^2)/4) for every b <= isqrt(disc)
+    with b = disc mod 2, b ascending, from one sieve over the polynomial.
+
+    With b = b0 + 2i, m is a quadratic in i. An odd prime p divides it
+    exactly when b = +-sqrt(disc) mod p, i.e. for i in at most two classes
+    mod p; for p = 2 the class is read off i = 0 and i = 1. Every prime up
+    to the square root of the largest m is divided out of its classes, all
+    of its powers, so what is left of each m is 1 or a prime.
+    """
+    s = _check_disc(disc)
+    bs = range(2 - disc % 2, s + 1, 2)
+    rest = [(disc - b * b) // 4 for b in bs]
+    factors: list[list[tuple[int, int]]] = [[] for _ in bs]
+    n, b0 = len(bs), bs[0]
+    for p in primes_up_to(math.isqrt(rest[0])):
+        if p == 2:
+            starts = [i for i in range(min(2, n)) if rest[i] % 2 == 0]
+        else:
+            r = sqrt_mod(disc, p)
+            if r is None:
+                continue
+            half = (p + 1) // 2  # 1/2 mod p
+            starts = {(r - b0) * half % p, (-r - b0) * half % p}
+        for start in starts:
+            for i in range(start, n, p):
+                v, e = rest[i], 0
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                if not e:
+                    raise InvariantError(f"sieve: {p} does not divide the value at b={bs[i]}")
+                rest[i] = v
+                factors[i].append((p, e))
+    for i, b in enumerate(bs):
+        fs, factors[i] = factors[i], None  # each list is freed once yielded
+        if rest[i] > 1:
+            fs.append((rest[i], 1))
+        m = (disc - b * b) // 4
+        check = 1
+        for p, e in fs:
+            check *= p**e
+        if check != m:
+            raise InvariantError(f"sieved factorization of {m} does not multiply back")
+        yield b, Factorization(m, tuple(fs))
 
 
 def reduced_forms(disc: int) -> list[IndefForm]:
@@ -56,17 +109,19 @@ def reduced_forms(disc: int) -> list[IndefForm]:
     absolute value inside the window ((sqrt(disc)-b)/2, (sqrt(disc)+b)/2).
     Both signs of a occur. Imprimitive forms (g = gcd(a,b,c) > 1, which
     exist only when g^2 divides disc) belong to disc/g^2 and are skipped.
+    The values (disc - b^2)/4 are factored by one sieve for all b.
     """
     s = _check_disc(disc)
     forms: list[IndefForm] = []
-    b0 = 2 - (disc % 2)  # smallest positive b with b = disc mod 2
-    for b in range(b0, s + 1, 2):
-        m = (disc - b * b) // 4
-        for d in factorize(m).divisors():
-            if 2 * d - b <= s and 2 * d + b >= s + 1 and math.gcd(d, b, m // d) == 1:
-                forms.append(IndefForm(d, b, -(m // d)))
-                forms.append(IndefForm(-d, b, m // d))
-    return sorted(forms, key=lambda F: (F.b, F.a))
+    for b, fac in _factor_products(disc):
+        m = fac.n
+        # 2d - b <= s and 2d + b >= s + 1, as bounds on d
+        lo, hi = (s + 2 - b) // 2, (s + b) // 2
+        ds = [d for d in fac.divisors() if lo <= d <= hi and math.gcd(d, b, m // d) == 1]
+        # ordered by (b, a): negative a first
+        forms += [IndefForm(-d, b, m // d) for d in reversed(ds)]
+        forms += [IndefForm(d, b, -(m // d)) for d in ds]
+    return forms
 
 
 def rho(F: IndefForm) -> IndefForm:
@@ -75,10 +130,11 @@ def rho(F: IndefForm) -> IndefForm:
     reduced window (s - 2|c|, s]."""
     if not F.is_reduced():
         raise ValueError("rho expects a reduced form")
-    s = math.isqrt(F.disc)
+    disc = F.disc
+    s = _check_disc(disc)
     two_c = 2 * abs(F.c)
     b2 = s - (s + F.b) % two_c
-    c2, rem = divmod(b2 * b2 - F.disc, 4 * F.c)
+    c2, rem = divmod(b2 * b2 - disc, 4 * F.c)
     if rem:
         raise InvariantError("rho left the discriminant lattice")
     out = IndefForm(F.c, b2, c2)
@@ -94,7 +150,7 @@ def reduce_form(F: IndefForm) -> tuple[IndefForm, int]:
     while |c| is still large and in the reduced window once it is small.
     The number of steps is logarithmic in the coefficients.
     """
-    s = math.isqrt(F.disc)
+    s = _check_disc(F.disc)
     max_steps = 10 + 4 * F.disc.bit_length() + 2 * max(abs(F.a), abs(F.c)).bit_length()
     steps = 0
     while not F.is_reduced():

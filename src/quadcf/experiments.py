@@ -18,10 +18,10 @@ import sys
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
 
-from .arith import InvariantError, is_prime
+from .arith import InvariantError, is_prime, primes_up_to
 from .class_geodesics import TotalLength, fundamental_decomposition, total_length
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
-from .matrix_orders import OrderRecord, _primes_up_to, _record_for
+from .matrix_orders import OrderRecord, _record_for
 from .quad_orders import (
     conductor_of_surd,
     field_data,
@@ -37,8 +37,9 @@ class UsageError(ValueError):
 
 
 # Largest scan bound, and most (disc, b) pairs a duke window may walk
-# (reduced_forms tries each b <= isqrt(disc)), accepted: checked before any
-# list is built, so an oversized request fails at once.
+# (reduced_forms sieves one value per b <= isqrt(disc), so the pairs bound
+# its time too), accepted: checked before any list is built, so an
+# oversized request fails at once.
 MAX_ITEMS = 10**6
 
 
@@ -76,7 +77,7 @@ def validate_config(cfg: ScanConfig, need_patterns: bool = True) -> None:
 
 
 def sequence_values(cfg: ScanConfig) -> list[int]:
-    ns = _primes_up_to(cfg.bound) if cfg.sequence == "primes" else list(range(2, cfg.bound + 1))
+    ns = primes_up_to(cfg.bound) if cfg.sequence == "primes" else list(range(2, cfg.bound + 1))
     if cfg.coprime_filter:
         ns = [n for n in ns if math.gcd(n, cfg.coprime_filter) == 1]
     if not ns:
@@ -172,6 +173,7 @@ def _converge_item(ctx, n: int) -> list[DeviationRow]:
 def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     validate_config(cfg)
     base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
+    cf_expand(base)  # the bounded walk refuses a radicand too large before it is factored
     fdata = field_data(surd_coords(base)[0])
     patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
     return run_items(_converge_item, (base, fdata, patterns), sequence_values(cfg), cfg.workers)
@@ -270,7 +272,9 @@ def artin_summary_lines(stats: dict) -> list[str]:
 
 def check_form_work(lo: int, hi: int) -> None:
     """Refuse the discriminants lo..hi when (hi - lo + 1) * isqrt(hi), a
-    bound on the (disc, b) pairs reduced_forms tries, exceeds MAX_ITEMS."""
+    bound on the (disc, b) pairs reduced_forms sieves, exceeds MAX_ITEMS.
+    Each pair costs a few sieve steps and its divisor scan, so the cap
+    bounds the time as well as the count."""
     if (hi - lo + 1) * math.isqrt(max(hi, 0)) > MAX_ITEMS:
         raise UsageError(f"discriminants {lo}..{hi} need more than {MAX_ITEMS} (disc, b) pairs")
 

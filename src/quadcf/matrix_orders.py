@@ -141,11 +141,3 @@ def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:
         split_type, is_max = COMPOSITE, None
     return OrderRecord(N, o, exponent, split_type, is_max)
 
-
-def _primes_up_to(bound: int) -> list[int]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(2, bound + 1) if sieve[i]]

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: trial division, brute-force
 searches, Fraction arithmetic at explicit precision. The point is that
-none of it shares code with the package under test.
+none of it shares code with the package under test, apart from the record
+types it builds and reduced_forms_by_factorize, which checks the form sieve
+against the package's own factorize.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 import random
 from fractions import Fraction
 
+from quadcf.arith import factorize
+from quadcf.class_geodesics import IndefForm
 from quadcf.quad_orders import Mat2
 from quadcf.surd import Surd, make_surd
 
@@ -56,6 +60,21 @@ def trial_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def reduced_forms_by_factorize(disc: int) -> list[IndefForm]:
+    """The reduced forms of disc enumerated with one factorize call per b:
+    for each b the divisors of (disc - b^2)/4 inside the reduced window,
+    both signs, primitive ones only, sorted by (b, a)."""
+    s = math.isqrt(disc)
+    forms = []
+    for b in range(2 - disc % 2, s + 1, 2):
+        m = (disc - b * b) // 4
+        for d in factorize(m).divisors():
+            if 2 * d - b <= s and 2 * d + b >= s + 1 and math.gcd(d, b, m // d) == 1:
+                forms.append(IndefForm(d, b, -(m // d)))
+                forms.append(IndefForm(-d, b, m // d))
+    return sorted(forms, key=lambda F: (F.b, F.a))
 
 
 def brute_pisano(n: int) -> int:

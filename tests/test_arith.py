@@ -10,6 +10,8 @@ from quadcf.arith import (
     is_prime,
     is_square,
     kronecker,
+    primes_up_to,
+    sqrt_mod,
 )
 from helpers import jacobi, sieve_primes, trial_factor
 
@@ -54,6 +56,40 @@ def test_factorize_matches_trial_division():
     for _ in range(60):
         n = rng.randint(2, 10**9)
         assert dict(iter(factorize(n))) == trial_factor(n)
+
+
+def test_factorize_matches_smallest_factor_table():
+    # oracle: factorizations read off a smallest-prime-factor table, for every
+    # n < 2*10**5, so for every cofactor trial division proves prime
+    bound = 2 * 10**5
+    spf = list(range(bound))
+    for p in range(2, math.isqrt(bound) + 1):
+        if spf[p] == p:
+            for k in range(p * p, bound, p):
+                if spf[k] == k:
+                    spf[k] = p
+    for n in range(2, bound):
+        want: dict[int, int] = {}
+        m = n
+        while m > 1:
+            want[spf[m]] = want.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert factorize(n).factors == tuple(sorted(want.items())), n
+
+
+def test_factorize_around_the_trial_bound():
+    # primes on both sides of the trial bound 10**4, as products and powers
+    near = [p for p in sieve_primes(10_100) if p > 9_900]
+    assert near[0] < 10**4 < near[-1]
+    for p in near:
+        for e in (1, 2, 3):
+            assert factorize(p**e).factors == ((p, e),)
+            assert factorize(2 * p**e).factors == ((2, 1), (p, e))
+        for q in near:
+            if p < q:
+                assert factorize(p * q).factors == ((p, 1), (q, 1))
+                assert factorize(p * p * q).factors == ((p, 2), (q, 1))
+                assert factorize(p * q * q).factors == ((p, 1), (q, 2))
 
 
 def test_factorize_large_semiprimes():
@@ -102,6 +138,25 @@ def test_factorization_is_hashable_record():
     assert f.n == 50
     assert f.primes == (2, 5)
     assert hash(f) == hash(factorize(50))
+
+
+def test_primes_up_to_matches_sieve_oracle():
+    for bound in (0, 1, 2, 3, 10, 97, 1000):
+        assert primes_up_to(bound) == sieve_primes(bound), bound
+
+
+def test_sqrt_mod():
+    # oracle: squares found by brute force; p = 1 mod 8 exercises Tonelli-Shanks
+    for p in sieve_primes(300)[1:] + [7937, 40961]:
+        squares = {x * x % p for x in range(p)} if p < 1000 else None
+        for a in range(-5, min(p, 300)):
+            r = sqrt_mod(a, p)
+            if r is None:
+                assert jacobi(a, p) == -1, (a, p)
+                if squares is not None:
+                    assert a % p not in squares
+            else:
+                assert 0 <= r < p and r * r % p == a % p, (a, p)
 
 
 def test_kronecker_euler_criterion():

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from quadcf import class_geodesics
+from quadcf.arith import factorize
 from quadcf.class_geodesics import (
     IndefForm,
+    _factor_products,
     TotalLength,
     class_number,
     fundamental_decomposition,
@@ -15,7 +18,7 @@ from quadcf.class_geodesics import (
     total_length,
 )
 from quadcf.quad_orders import field_data
-from helpers import dirichlet_class_number, frac_sqrt
+from helpers import dirichlet_class_number, frac_sqrt, reduced_forms_by_factorize
 
 SMALL_DISCS = [5, 8, 12, 13, 17, 20, 21, 24, 28, 32, 33, 40, 44, 45, 48, 60, 229]
 
@@ -177,3 +180,50 @@ def test_total_length_values():
     assert t20.h == 1
     assert abs(t20.reg - math.log(2 + math.sqrt(5))) < 1e-12
     assert abs(t20.exponent - math.log(t20.total_length) / math.log(math.sqrt(20))) < 1e-15
+
+
+def test_reduced_forms_match_per_b_factorize_enumeration():
+    # oracle: the enumeration with one factorize call per b that the sieve replaced
+    checked = 0
+    for disc in range(5, 4000):
+        if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+            continue
+        assert reduced_forms(disc) == reduced_forms_by_factorize(disc), disc
+        checked += 1
+    assert checked == 1936
+
+
+# 105 = 3*5*7 and 1365 = 3*5*7*13: sieving primes dividing disc (one root);
+# 4004 = 4*7*11*13, 4*10007 and 4*30030 are 0 mod 4; 69300 = 4*9*25*77 has square factors
+SIEVE_DISCS = [105, 1365, 4004, 4 * 10007, 4 * 30030, 69300, 10**6 + 1]
+
+
+def test_sieve_factorizations_match_factorize():
+    for disc in SIEVE_DISCS:
+        got = list(_factor_products(disc))
+        bs = [b for b, _ in got]
+        assert bs == list(range(2 - disc % 2, math.isqrt(disc) + 1, 2)), disc
+        for b, fac in got:
+            assert fac == factorize((disc - b * b) // 4), (disc, b)
+
+
+def test_sieve_factorizations_match_factorize_at_1e10():
+    disc = 10**10 + 1
+    got = list(_factor_products(disc))
+    assert len(got) == 50_000
+    sample = got[::97] + got[-3:]
+    for b, fac in sample:
+        assert fac == factorize((disc - b * b) // 4), b
+    # the sample reaches values with a square factor and with a large prime left over
+    assert any(not fac.is_squarefree() for _, fac in sample)
+    assert any(fac.primes[-1] > math.isqrt(got[0][1].n) for _, fac in sample)
+
+
+def test_reduced_forms_do_not_factor_per_b(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(class_geodesics, "factorize", refuse)
+    for disc in (5, 8, 229, 4004, 69300, 10**6 + 1):
+        assert reduced_forms(disc), disc
+

@@ -133,6 +133,16 @@ def test_classno_output(capsys):
     assert "disc=229 h=3 reduced_forms=14" in out
 
 
+def test_classno_at_the_largest_accepted_discriminant(capsys):
+    # the work cap admits a single discriminant up to about 10**12; the line
+    # was recorded with one factorize call per b, before the form sieve
+    assert run(["classno", "--disc", "10000000001"]) == 0
+    assert capsys.readouterr().out == (
+        "disc=10000000001 h=6672 reduced_forms=137216 reg=12.206072645555182 "
+        "total_length=81438.91669114417 exponent=0.9821663975959721\n"
+    )
+
+
 def test_exit_code_2_on_bad_usage(capsys):
     bad_invocations = [
         ["expand", "--d", "4"],                # square radicand
@@ -162,6 +172,7 @@ def test_exit_code_2_on_bad_usage(capsys):
         # two 20-digit prime factors: the walk refuses it before anything is factored
         ["unit", "--d", SEMIPRIME_RADICAND],
         ["artin", "--d", SEMIPRIME_RADICAND],
+        ["converge", "--d", SEMIPRIME_RADICAND, "--bound", "3"],
         ["converge", "--r", "1000000000000", "--bound", "3", "--workers", "2"],  # in a worker
         # units too large to print: over the int-to-str digit limit, over the float range
         ["unit", "--d", "17804791"],
