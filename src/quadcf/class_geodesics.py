@@ -172,22 +172,28 @@ def reduce_form(F: IndefForm) -> tuple[IndefForm, int]:
 
 def class_number(disc: int) -> int:
     """Number of rho-cycles among the reduced forms of the discriminant."""
-    forms = reduced_forms(disc)
-    seen: set[IndefForm] = set()
+    return _cycles(disc)[0]
+
+
+def _cycles(disc: int) -> tuple[int, int]:
+    """(number of rho-cycles, number of reduced forms).
+
+    Each cycle is walked once, and each form leaves the set of forms not
+    yet visited as the walk reaches it; a form rho returns that is not in
+    that set means rho is not a permutation of the reduced forms.
+    """
+    left = set(reduced_forms(disc))
+    n = len(left)
     cycles = 0
-    for F in forms:
-        if F in seen:
-            continue
+    while left:
+        F = G = left.pop()
         cycles += 1
-        G = F
-        while True:
-            seen.add(G)
-            G = rho(G)
-            if G == F:
-                break
-    if len(seen) != len(forms):
-        raise InvariantError("rho-cycles did not exhaust the reduced forms")
-    return cycles
+        while (G := rho(G)) != F:
+            try:
+                left.remove(G)
+            except KeyError:
+                raise InvariantError("rho is not a permutation of the reduced forms") from None
+    return cycles, n
 
 
 def fundamental_decomposition(disc: int) -> tuple[int, int]:
@@ -213,7 +219,10 @@ class TotalLength:
 def total_length(disc: int) -> TotalLength:
     """Class number times the regulator of the order of that discriminant,
     with the exponent ln(h*reg)/ln(sqrt(disc)) that the census tracks."""
-    h = class_number(disc)
+    return _total_length(disc, class_number(disc))
+
+
+def _total_length(disc: int, h: int) -> TotalLength:
     D0, f = fundamental_decomposition(disc)
     reg = regulator_of_order(OrderSpec(field_data(D0), f))
     total = h * reg

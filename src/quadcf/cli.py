@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .arith import InvariantError
-from .class_geodesics import TotalLength, reduced_forms, total_length
+from .class_geodesics import TotalLength, _cycles, _total_length
 from .experiments import (
     DeviationRow,
     ScanConfig,
@@ -108,6 +108,9 @@ def _cast_like(example, raw: str):
 
 # Most convergents `expand` prints: checked before the digit list is built.
 MAX_CONVERGENTS = 10**4
+# Largest `unit --conductor`: its unit-group index factors the conductor and
+# p - 1 or p + 1 for each of its primes p, quick up to 18 digits.
+MAX_CONDUCTOR = 10**18
 
 
 # ---- commands ----
@@ -179,6 +182,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_unit(args) -> int:
+    if args.conductor > MAX_CONDUCTOR:
+        raise UsageError(f"--conductor must be <= {MAX_CONDUCTOR}")
     f = field_data(args.d)
     o = OrderSpec(f, args.conductor)  # a conductor below 1 fails before any output
     try:  # built before printing, so a refused unit prints nothing
@@ -203,8 +208,8 @@ def cmd_unit(args) -> int:
 
 def cmd_classno(args) -> int:
     check_form_work(args.disc, args.disc)
-    tl = total_length(args.disc)
-    nred = len(reduced_forms(args.disc))
+    h, nred = _cycles(args.disc)
+    tl = _total_length(args.disc, h)
     print(
         f"disc={args.disc} h={tl.h} reduced_forms={nred} reg={tl.reg!r} "
         f"total_length={tl.total_length!r} exponent={tl.exponent!r}"

@@ -1,16 +1,14 @@
 """Prime-index neighbor relations between the lattices Z + Z*x and chains
 of such steps connecting any surd of the field to the canonical generator.
 
-Lattices are handled through coordinates in the basis {1, xD}: the lattice
-of x = (u + v*xD)/w has basis (1, 0) and (u/w, v/w), so containment and
-index are exact 2x2 linear algebra over Fractions.
+Two surds of one field are related by y = (a*x + b)/c in lowest terms
+(surd.mobius_coeffs). Z + Z*y lies inside Z + Z*x exactly when c = 1, and
+its index there is |a|, with no coordinates and no factoring.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import InvariantError, factorize, is_prime
 from .quad_orders import (
@@ -19,43 +17,25 @@ from .quad_orders import (
     alg_pow,
     conductor_of_surd,
     in_suborder,
-    surd_coords,
     unit_group_index,
 )
-from .surd import Surd, mobius, scale
+from .surd import Surd, mobius, mobius_coeffs, scale
 
 DOWN = "down"  # next lattice is an index-p sublattice
 UP = "up"      # next lattice is an index-p superlattice
 
 
-def _lattice_contains(outer: tuple[int, int, int], vec: tuple[Fraction, Fraction]) -> bool:
-    """Is the coordinate vector inside Z*(1,0) + Z*(u/w, v/w)?"""
-    u, v, w = outer
-    t = vec[1] * w / v
-    if t.denominator != 1:
-        return False
-    s = vec[0] - t * Fraction(u, w)
-    return s.denominator == 1
-
-
 def _sublattice_index(x: Surd, y: Surd) -> int | None:
     """Index of the lattice of y inside the lattice of x, or None if the
-    lattice of y is not contained in it. Requires the same field."""
-    mx, ux, vx, wx = surd_coords(x)
-    my, uy, vy, wy = surd_coords(y)
-    if mx != my:
-        raise ValueError("surds lie in different fields")
-    if not _lattice_contains((ux, vx, wx), (Fraction(uy, wy), Fraction(vy, wy))):
-        return None
-    idx = Fraction(abs(vy * wx), abs(wy * vx))
-    if idx.denominator != 1:
-        raise InvariantError("contained lattice with non-integral index")
-    return idx.numerator
+    lattice of y is not contained in it: y = a*x + b with integers a, b,
+    of index |a|. Requires the same field."""
+    a, _, c = mobius_coeffs(x, y)
+    return abs(a) if c == 1 else None
 
 
 def same_lattice(x: Surd, y: Surd) -> bool:
     """True when Z + Z*x and Z + Z*y coincide."""
-    return _sublattice_index(x, y) == 1 or _sublattice_index(y, x) == 1
+    return _sublattice_index(x, y) == 1
 
 
 def are_neighbors(x: Surd, y: Surd, p: int) -> bool:
@@ -103,17 +83,7 @@ def chain_between(x: Surd, y: Surd) -> HeckeChain:
     chain starts at x itself except in the degenerate case where the two
     lattices already coincide, which yields the single node y.
     """
-    mx, ux, vx, wx = surd_coords(x)
-    my, uy, vy, wy = surd_coords(y)
-    if mx != my:
-        raise ValueError("surds lie in different fields")
-    A = vy * wx
-    B = vx * uy - vy * ux
-    C = vx * wy
-    g = math.gcd(math.gcd(A, B), C)
-    A, B, C = A // g, B // g, C // g
-    if C < 0:
-        A, B, C = -A, -B, -C
+    A, B, C = mobius_coeffs(x, y)
 
     nodes = [x]
     steps: list[tuple[int, str]] = []
@@ -136,7 +106,7 @@ def chain_between(x: Surd, y: Surd) -> HeckeChain:
         nodes.append(z)
         steps.append((q, UP))
 
-    if surd_coords(z) != (my, uy, vy, wy):
+    if mobius_coeffs(z, y) != (1, 0, 1):
         raise InvariantError("chain did not land on the target")
     chain = HeckeChain(tuple(nodes), tuple(steps))
     _verify_chain(chain)
@@ -191,8 +161,8 @@ def unit_index_check(f: FieldData, x: Surd, y: Surd, p: int) -> int:
     that bound is asserted. Found by power search with the suborder
     membership test.
     """
-    if surd_coords(x) == surd_coords(y):
-        return 1  # same lattice, degenerate
+    if mobius_coeffs(x, y) == (1, 0, 1):
+        return 1  # same value, degenerate
     if not are_neighbors(x, y, p):
         raise ValueError("not p-neighbors")
     lx = conductor_of_surd(f, x)

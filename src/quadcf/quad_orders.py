@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import InvariantError, factorize, is_square
-from .surd import Surd, _state_walk, eval_approx, make_surd
+from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,17 @@ def field_data(d: int) -> FieldData:
     not_fundamental = f"{d} is neither squarefree nor a fundamental discriminant"
     if m != d and m % 4 in (0, 1):
         raise ValueError(not_fundamental)
-    if m % 4 == 1:
-        D = m
-        xD = make_surd(1, 1, m, 2)
-        t, nrm = 1, (1 - m) // 4
-    else:
-        D = 4 * m
-        xD = make_surd(0, 1, m, 1)
-        t, nrm = 0, -m
-    eps, norm = _unit_from_period(m, t, nrm, xD)
+    xD = _generator(m)
+    D, t, nrm = (m, 1, (1 - m) // 4) if m % 4 == 1 else (4 * m, 0, -m)
+    eps, norm = _unit_from_period(xD, t, nrm, xD)
     if not factorize(m).is_squarefree():
         raise ValueError(not_fundamental)
     return FieldData(m, D, xD, t, nrm, eps, _log_value(xD, eps), norm)
+
+
+def _generator(m: int) -> Surd:
+    """xD of the squarefree m: (1 + sqrt(m))/2 when m = 1 mod 4, else sqrt(m)."""
+    return Surd(1, 2, m) if m % 4 == 1 else Surd(0, 1, m)
 
 
 # ---- element arithmetic ----
@@ -202,26 +201,15 @@ def surd_coords(x: Surd) -> tuple[int, int, int, int]:
     The tuple is a canonical label of x's value: two surds are equal
     numbers exactly when their coordinates match.
     """
-    m, r = factorize(x.D).squarefree_kernel()
-    return (m, *_coords(m, r, x))
+    m = factorize(x.D).squarefree_kernel()[0]
+    v, u, w = mobius_coeffs(_generator(m), x)
+    return m, u, v, w
 
 
-def _coords(m: int, r: int, x: Surd) -> tuple[int, int, int]:
-    """surd_coords(x) without m, given x.D = r*r*m with m squarefree."""
-    if m % 4 == 1:
-        u, v, w = x.P - r, 2 * r, x.Q  # sqrt(m) = 2*xD - 1
-    else:
-        u, v, w = x.P, r, x.Q
-    if w < 0:
-        u, v, w = -u, -v, -w
-    g = math.gcd(math.gcd(u, v), w)
-    return u // g, v // g, w // g
-
-
-def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> tuple[AlgInt, int]:
+def _unit_from_period(xD: Surd, t: int, nrm: int, z: Surd) -> tuple[AlgInt, int]:
     """Smallest unit > 1 of the stabilizer order of Z + Z*z, and its norm,
-    read off one least period of z's continued fraction. z.D must be a
-    square times the squarefree m.
+    read off one least period of z's continued fraction. z must lie in
+    the field of the generator xD (else ValueError).
 
     If M is the product of the digit matrices [[a,1],[1,0]] over one
     period of the purely periodic tail y, then y is fixed by M as a Mobius
@@ -230,10 +218,7 @@ def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> tuple[AlgInt, int]:
     """
     digits, i, (P, Q) = _state_walk(z)
     period = digits[i:]
-    r = math.isqrt(z.D // m)
-    if r * r * m != z.D:
-        raise InvariantError("tail left the field")
-    uy, vy, wy = _coords(m, r, Surd(P, Q, z.D))
+    vy, uy, wy = mobius_coeffs(xD, Surd(P, Q, z.D))
     M = Mat2.identity()
     for a in period:
         M = M * Mat2(a, 1, 1, 0)
@@ -250,11 +235,9 @@ def _unit_from_period(m: int, t: int, nrm: int, z: Surd) -> tuple[AlgInt, int]:
 
 def unit_from_period(f: FieldData, z: Surd) -> AlgInt:
     """Fundamental unit of the order attached to the lattice Z + Z*z,
-    computed from z's continued-fraction period. z must lie in f's field."""
-    m2 = surd_coords(z)[0]
-    if m2 != f.m:
-        raise ValueError("surd lies in a different field")
-    return _unit_from_period(f.m, f.t, f.nrm, z)[0]
+    computed from z's continued-fraction period. z must lie in f's field
+    (else ValueError)."""
+    return _unit_from_period(f.xD, f.t, f.nrm, z)[0]
 
 
 # ---- suborders ----
@@ -308,21 +291,14 @@ def regulator_of_order(o: OrderSpec) -> float:
 def conductor_of_surd(f: FieldData, x: Surd) -> int:
     """The l >= 1 with stabilizer order of Z + Z*x equal to Z[l*xD].
 
-    l is the least positive integer with l*xD and l*xD*x both inside
-    Z + Z*x; each condition pins l to the multiples of one denominator,
-    so l is an lcm rather than a search.
+    That order's discriminant l*l*f.D is the discriminant of x's primitive
+    minimal polynomial (Q*x^2 - 2P*x + (P^2 - D)/Q)/g with g = gcd(Q, 2P,
+    (P^2 - D)/Q), which is 4D/g^2. A surd of another field leaves a
+    quotient 4D/(g^2*f.D) that is not an exact square: ValueError.
     """
-    m, u, v, w = surd_coords(x)
-    if m != f.m:
+    g = math.gcd(x.Q, 2 * x.P, (x.P * x.P - x.D) // x.Q)
+    l2, rem = divmod(4 * x.D, g * g * f.D)
+    l = math.isqrt(l2)
+    if rem or l * l != l2:
         raise ValueError("surd lies in a different field")
-    # membership of q*xi in Z + Z*x reduces to q*f1, q*f2 integral where
-    # f2 = xi2*w/v and f1 = xi1 - xi2*u/v  (xi = (xi1, xi2) in basis {1, xD})
-    def min_multiplier(xi1: Fraction, xi2: Fraction) -> int:
-        f2 = xi2 * w / v
-        f1 = xi1 - xi2 * Fraction(u, v)
-        return math.lcm(f1.denominator, f2.denominator)
-
-    l1 = min_multiplier(Fraction(0), Fraction(1))  # xD itself
-    # xD*x = (-v*nrm + (u + v*t)*xD)/w
-    l2 = min_multiplier(Fraction(-v * f.nrm, w), Fraction(u + v * f.t, w))
-    return math.lcm(l1, l2)
+    return l

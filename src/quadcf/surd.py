@@ -82,6 +82,23 @@ def mobius(x: Surd, a: int, b: int, c: int) -> Surd:
     return make_surd(a * x.P + b * x.Q, a, x.D, c * x.Q)
 
 
+def mobius_coeffs(x: Surd, y: Surd) -> tuple[int, int, int]:
+    """The inverse of mobius: (a, b, c) with y = (a*x + b)/c, c > 0 and
+    gcd(a, b, c) = 1, unique since x is irrational. (1, 0, 1) means equal
+    values.
+
+    With s = sqrt(x.D*y.D), sqrt(y.D) = s*sqrt(x.D)/x.D and sqrt(x.D) =
+    x.Q*x - x.P. s is an integer exactly when the surds share a field;
+    otherwise ValueError.
+    """
+    s = math.isqrt(x.D * y.D)
+    if s * s != x.D * y.D:
+        raise ValueError("surds lie in different fields")
+    a, b, c = s * x.Q, x.D * y.P - s * x.P, x.D * y.Q
+    g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
+    return a // g, b // g, c // g
+
+
 def compare_to_fraction(x: Surd, fr: Fraction) -> int:
     """Sign of x - fr (never 0: x is irrational). Exact."""
     a, b = fr.numerator, fr.denominator

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quadcf import class_geodesics
-from quadcf.arith import factorize
+from quadcf.arith import InvariantError, factorize
 from quadcf.class_geodesics import (
     IndefForm,
     _factor_products,
@@ -227,3 +227,16 @@ def test_reduced_forms_do_not_factor_per_b(monkeypatch):
     for disc in (5, 8, 229, 4004, 69300, 10**6 + 1):
         assert reduced_forms(disc), disc
 
+
+
+def test_class_number_refuses_a_rho_that_is_not_a_permutation(monkeypatch):
+    outside = IndefForm(1, 1, -57)  # disc 229 but not reduced: outside the list
+    assert outside not in reduced_forms(229)
+    monkeypatch.setattr(class_geodesics, "rho", lambda F: outside)
+    with pytest.raises(InvariantError):
+        class_number(229)
+    # not injective: every form goes to the first one, which is then met twice
+    first = reduced_forms(229)[0]
+    monkeypatch.setattr(class_geodesics, "rho", lambda F: first)
+    with pytest.raises(InvariantError):
+        class_number(229)

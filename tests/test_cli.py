@@ -8,6 +8,7 @@ from quadcf import experiments
 from quadcf.arith import InvariantError
 from quadcf.experiments import UsageError
 import quadcf.cli as cli
+from quadcf import class_geodesics
 
 DEVIATION_HEADER = (
     "N,is_prime,period_length,pattern,freq_num,freq_den,c_w,deviation,disc,reg_disc_exponent"
@@ -133,6 +134,21 @@ def test_classno_output(capsys):
     assert "disc=229 h=3 reduced_forms=14" in out
 
 
+def test_classno_enumerates_the_forms_once(monkeypatch, capsys):
+    calls = []
+    real = class_geodesics.reduced_forms
+
+    def counting(disc):
+        calls.append(disc)
+        return real(disc)
+
+    monkeypatch.setattr(class_geodesics, "reduced_forms", counting)
+    monkeypatch.setattr(cli, "reduced_forms", counting, raising=False)
+    assert run(["classno", "--disc", "229"]) == 0
+    assert "disc=229 h=3 reduced_forms=14" in capsys.readouterr().out
+    assert calls == [229]
+
+
 def test_classno_at_the_largest_accepted_discriminant(capsys):
     # the work cap admits a single discriminant up to about 10**12; the line
     # was recorded with one factorize call per b, before the form sieve
@@ -156,6 +172,7 @@ def test_exit_code_2_on_bad_usage(capsys):
         ["expand", "--d", "7", "--convergents", "-1"],
         ["unit", "--d", "5", "--conductor", "0"],
         ["unit", "--d", "5", "--conductor", "-3"],
+        ["unit", "--d", "5", "--conductor", SEMIPRIME_RADICAND],  # over 10**18
         # oversized: refused before anything is allocated or walked
         ["converge", "--sequence", "primes", "--bound", "1000000000000000000"],
         ["artin", "--sequence", "integers", "--bound", "1000000000000000000"],
@@ -194,6 +211,8 @@ def test_refusals_name_their_limit(capsys):
         (["classno", "--disc", "1000000000000000000000000000005"], "1000000 (disc, b) pairs"),
         (["unit", "--d", "17804791"], f"more than {sys.get_int_max_str_digits()} digits"),
         (["unit", "--d", "1100023"], "too large for a float"),
+        (["unit", "--d", "5", "--conductor", "1000000000000000001"],
+         "--conductor must be <= 1000000000000000000"),
     ]:
         assert run(argv) == 2, argv
         assert limit in capsys.readouterr().err, argv

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from quadcf import hecke, quad_orders
 from quadcf.arith import InvariantError
 from quadcf.hecke import (
     DOWN,
@@ -37,6 +38,30 @@ def test_same_lattice_basic():
     assert not same_lattice(x, scale(x, 2))
     with pytest.raises(ValueError):
         same_lattice(x, field_data(5).xD)
+
+
+def test_lattice_relations_do_not_factor(monkeypatch):
+    # conductor, same-lattice and neighbor tests come from mobius_coeffs
+    # and the minimal polynomial alone
+    rng = random.Random(57)
+    fields = {m: field_data(m) for m in (2, 3, 5, 13)}
+    cases = []
+    for _ in range(200):
+        m = rng.choice(list(fields))
+        x = random_surd(rng, ms=(m,), span=10)
+        p = rng.choice(SMALL_PRIMES)
+        y = scale(x, p) if rng.random() < 0.5 else random_surd(rng, ms=(m,), span=10)
+        expected = (conductor_of_surd(fields[m], x), same_lattice(x, y), are_neighbors(x, y, p))
+        cases.append((fields[m], x, y, p, expected))
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(quad_orders, "factorize", refuse)
+    monkeypatch.setattr(hecke, "factorize", refuse)
+    for f, x, y, p, expected in cases:
+        assert (conductor_of_surd(f, x), same_lattice(x, y), are_neighbors(x, y, p)) == expected
+    assert any(e[2] for *_, e in cases) and not all(e[2] for *_, e in cases)
 
 
 def test_neighbor_relation_both_directions():

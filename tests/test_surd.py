@@ -14,6 +14,7 @@ from quadcf.surd import (
     is_reduced,
     make_surd,
     mobius,
+    mobius_coeffs,
     periodic_tail,
     scale,
 )
@@ -83,6 +84,45 @@ def test_surd_coords_identify_equal_numbers():
     c = make_surd(3, 2, 27, 6)    # (3 + 2*sqrt(27))/6, same after folding
     assert surd_coords(a) == surd_coords(b) == surd_coords(c)
     assert surd_coords(a) != surd_coords(make_surd(1, 2, 3, -2))
+
+
+def test_mobius_coeffs_match_a_fraction_oracle():
+    # y = (a*x + b)/c at 160 bits, on random pairs of one field (Q < 0 too)
+    rng = random.Random(81)
+    negative_q = 0
+    for _ in range(600):
+        m = rng.choice([2, 3, 5, 13])
+        x, y = random_surd(rng, ms=(m,)), random_surd(rng, ms=(m,))
+        negative_q += x.Q < 0 and y.Q < 0
+        a, b, c = mobius_coeffs(x, y)
+        assert c > 0 and math.gcd(a, b, c) == 1, (x, y)
+        assert abs((a * surd_fraction(x) + b) / c - surd_fraction(y)) < Fraction(1, 2**120), (x, y)
+        assert mobius_coeffs(mobius(x, a, b, c), y) == (1, 0, 1)
+    assert negative_q > 50
+    # equal values written differently, and a sign flip
+    assert mobius_coeffs(Surd(0, 1, 2), Surd(0, 2, 8)) == (1, 0, 1)
+    assert mobius_coeffs(Surd(0, 1, 2), Surd(0, -1, 2)) == (-1, 0, 1)
+    assert mobius_coeffs(Surd(0, 1, 2), make_surd(3, 5, 2, 7)) == (5, 3, 7)
+
+
+def test_mobius_coeffs_is_the_identity_exactly_on_equal_values():
+    rng = random.Random(82)
+    equal = 0
+    for _ in range(600):
+        m = rng.choice([2, 3, 5, 13])
+        x = random_surd(rng, ms=(m,), span=6)
+        if rng.random() < 0.3:
+            k = rng.randint(1, 6)  # the same number, written with k*P, k*Q, k*k*D
+            y = Surd(k * x.P, k * x.Q, k * k * x.D)
+        else:
+            y = random_surd(rng, ms=(m,), span=6)
+        same = surd_coords(x) == surd_coords(y)
+        equal += same
+        assert (mobius_coeffs(x, y) == (1, 0, 1)) == same, (x, y)
+    assert equal > 150
+    for m, n in [(2, 3), (5, 13), (2, 8 * 3), (13, 52 * 5)]:
+        with pytest.raises(ValueError, match="different fields"):
+            mobius_coeffs(Surd(0, 1, m), Surd(1, 1, n))
 
 
 def test_conjugate_flips_the_root():
