@@ -10,6 +10,7 @@ floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +102,8 @@ def pattern_frequency(e: CFExpansion, w) -> Fraction:
     limiting frequency of w along the infinite digit tail.
 
     The windows are counted in C: the period is tiled to at least L + k - 1
-    digits, and the k shifted slices of length L, zipped, are the windows.
+    digits, and k shifted iterators over it, each stopping after L digits,
+    zipped, are the windows. No slice is copied, so memory stays O(L + k).
     """
     digits = _as_digits(w)
     period = e.period
@@ -110,7 +112,7 @@ def pattern_frequency(e: CFExpansion, w) -> Fraction:
     if k == 1:
         return Fraction(period.count(digits[0]), L)
     tiled = period * ((k - 1) // L + 2)
-    windows = zip(*(tiled[j : j + L] for j in range(k)))
+    windows = zip(*(itertools.islice(tiled, j, j + L) for j in range(k)))
     return Fraction(sum(map(digits.__eq__, windows)), L)
 
 

@@ -23,6 +23,7 @@ from .surd import Surd, mobius, mobius_coeffs, scale
 
 DOWN = "down"  # next lattice is an index-p sublattice
 UP = "up"      # next lattice is an index-p superlattice
+MAX_CHAIN_COEFF = 10**18  # largest |A| or C that chain_between factors
 
 
 def _sublattice_index(x: Surd, y: Surd) -> int | None:
@@ -82,8 +83,13 @@ def chain_between(x: Surd, y: Surd) -> HeckeChain:
     re-verified before the chain is returned. The last node is y; the
     chain starts at x itself except in the degenerate case where the two
     lattices already coincide, which yields the single node y.
+
+    |A| and C are factored, so each must be at most MAX_CHAIN_COEFF;
+    larger ones raise ValueError before any factoring.
     """
     A, B, C = mobius_coeffs(x, y)
+    if max(abs(A), C) > MAX_CHAIN_COEFF:
+        raise ValueError(f"chain coefficients |A| and C must be <= {MAX_CHAIN_COEFF}")
 
     nodes = [x]
     steps: list[tuple[int, str]] = []

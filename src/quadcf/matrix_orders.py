@@ -5,15 +5,19 @@ with M^j = I, with M^j scalar, or with M^j = +-I mod N. Given a multiple
 of it, the least one is found by stripping the multiple's prime factors,
 keeping each removal while the power still passes (_least_exponent).
 
-For the order mod N the multiple is the lcm over p^e || N of a multiple
-of the order mod p times p^(e-1), the exponent of the kernel of reduction
-mod p^e -> p. Mod an odd p the characteristic polynomial gives it (p-1
-split, p+1 or 2(p+1) inert depending on det, p^2-1 inert otherwise,
-p(p-1) for a double root); mod 2 it is 6, the exponent of GL2(F2) = S3.
+The order mod N is the lcm of the orders mod each p^e || N (CRT). The
+order mod p^e is stripped out of a multiple of the order mod p times
+p^(e-1), the exponent of the kernel of reduction mod p^e -> p. Mod an odd
+p the characteristic polynomial gives that multiple (p-1 split, p+1 or
+2(p+1) inert depending on det, p^2-1 inert otherwise, p(p-1) for a double
+root); mod 2 it is 6, the exponent of GL2(F2) = S3. A scan over N meets
+the same p^e again and again, so the order mod p^e is memoised per
+process on (M, p, e); the lcm is then checked as a witness mod N itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,6 +77,19 @@ def _order_multiple(M: Mat2, p: int) -> int:
     return p * p - 1  # inert, general det
 
 
+@functools.lru_cache(maxsize=4096)
+def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...]]:
+    """Order of M mod p^e, det M a unit mod p, and the primes of that order."""
+    n = p**e
+    m = _order_multiple(M, p)
+    k = m * p ** (e - 1)
+    if not _is_identity(_mat_pow_mod(M, k, n), n):
+        raise InvariantError(f"candidate exponent {k} is not annihilating mod {n}")
+    primes = sorted({*factorize(m).primes, p})
+    o = _least_exponent(M, n, k, primes, _is_identity)
+    return o, tuple(q for q in primes if o % q == 0)
+
+
 def mat_order_mod(M: Mat2, N: int) -> int:
     """Multiplicative order of M modulo N; requires gcd(det M, N) = 1.
 
@@ -85,18 +102,15 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         raise ValueError("matrix is not invertible mod N")
     if N == 1:
         return 1
-    k, primes = 1, set()
+    o, primes = 1, set()
     for p, e in factorize(N):
-        m = _order_multiple(M, p)
-        k = math.lcm(k, m * p ** (e - 1))
-        primes.update(factorize(m).primes, (p,))
-    if not _is_identity(_mat_pow_mod(M, k, N), N):
-        raise InvariantError(f"candidate exponent {k} is not annihilating mod {N}")
-    o = _least_exponent(M, N, k, primes, _is_identity)
+        op, qs = _prime_power_order(M, p, e)
+        o = math.lcm(o, op)
+        primes.update(qs)
     # witness property
     if not _is_identity(_mat_pow_mod(M, o, N), N):
         raise InvariantError("claimed order does not annihilate")
-    for q in factorize(o).primes:
+    for q in primes:
         if _is_identity(_mat_pow_mod(M, o // q, N), N):
             raise InvariantError("claimed order is not minimal")
     return o

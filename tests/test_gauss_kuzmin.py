@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,22 @@ def test_pattern_frequency_of_factors_several_periods_long():
         count = sum(ext[j : j + k] == w for j in range(L))
         assert count >= 1
         assert pattern_frequency(e, w) == Fraction(count, L)
+
+
+def test_pattern_frequency_memory_is_linear_in_period_plus_pattern():
+    # 1999*sqrt(2) has the longest period (1496) of the primes below 2000;
+    # k shifted slices of the period would hold k*L references (24 MB here)
+    e = cf_expand(make_surd(0, 1999, 2, 1))
+    assert len(e.period) == 1496
+    w = (e.period * 3)[5:2005]
+    tracemalloc.start()
+    try:
+        freq = pattern_frequency(e, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert freq == Fraction(1, 1496)
+    assert peak < 2 * 10**6, peak
 
 
 def test_pattern_frequency_matches_string_oracle():

@@ -1,10 +1,11 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from quadcf import hecke, quad_orders
-from quadcf.arith import InvariantError
+from quadcf.arith import InvariantError, factorize
 from quadcf.hecke import (
     DOWN,
     UP,
@@ -110,6 +111,19 @@ def test_chain_frozen_examples():
 
     with pytest.raises(ValueError):
         chain_between(f2.xD, f5.xD)
+
+
+def test_chain_between_caps_the_coefficients_it_factors():
+    x = field_data(2).xD
+    for A in (10**18, 999999999999999989, 999999937 * 1000000007):  # at the cap: fast
+        want = [p for p, e in factorize(A) for _ in range(e)]
+        assert chain_between(x, mobius(x, A, 1, 1)).primes() == want
+        assert chain_between(x, mobius(x, 1, 1, A)).primes() == want
+    t = time.perf_counter()
+    for y in (mobius(x, 5859824980284060829895849672056204220491, 1, 1), mobius(x, 1, 0, 10**18 + 1)):
+        with pytest.raises(ValueError, match=str(hecke.MAX_CHAIN_COEFF)):
+            chain_between(x, y)
+    assert time.perf_counter() - t < 1
 
 
 def test_chain_to_generator_pure_division():

@@ -13,9 +13,11 @@ from quadcf.matrix_orders import (
     mat_order_mod,
     max_element_order,
 )
+from quadcf import matrix_orders
+from quadcf.arith import InvariantError, factorize
 from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, alg_norm, field_data, phi
-from quadcf.matrix_orders import _mat_pow_mod
+from quadcf.matrix_orders import _mat_pow_mod, _prime_power_order
 from helpers import brute_mat_order, brute_pisano, repeated_mat_product, ring_order_mod, sieve_primes
 
 FIB_MATRIX = Mat2(0, 1, 1, 1)
@@ -59,6 +61,83 @@ def test_mat_order_random_large_moduli():
         if math.gcd(M.det, n) != 1 or M.det == 0:
             continue
         assert mat_order_mod(M, n) == brute_mat_order((M.a, M.b, M.c, M.d), n)
+
+
+# Fibonacci, phi(eps) of three fields, det -1, and det 2 (general det)
+MEMO_MATRICES = [
+    FIB_MATRIX,
+    *(phi(f, f.epsD) for f in map(field_data, (2, 3, 13))),
+    Mat2(2, 1, 1, 0),
+    Mat2(1, 1, 1, 3),
+]
+
+
+def test_prime_power_memo_matches_brute_cold_and_warm():
+    want = {
+        M: {n: brute_mat_order((M.a, M.b, M.c, M.d), n) for n in range(1, 400) if math.gcd(M.det, n) == 1}
+        for M in MEMO_MATRICES
+    }
+    for M, orders in want.items():  # ascending N from an empty memo
+        _prime_power_order.cache_clear()
+        for n, o in orders.items():
+            assert mat_order_mod(M, n) == o, (M, n)
+    rng = random.Random(44)
+    for M, orders in want.items():  # shuffled N, memo warm from the other matrices
+        ns = list(orders)
+        rng.shuffle(ns)
+        for n in ns:
+            assert mat_order_mod(M, n) == orders[n], (M, n)
+
+
+def test_prime_power_order_returns_the_primes_of_the_order():
+    for p in sieve_primes(500):
+        e = 1
+        while p**e < 500:
+            for M in MEMO_MATRICES:
+                if M.det % p:
+                    o, primes = _prime_power_order(M, p, e)
+                    assert primes == factorize(o).primes, (M, p, e)
+                    assert o == mat_order_mod(M, p**e)
+            e += 1
+
+
+def test_artin_scan_reuses_prime_power_orders(monkeypatch):
+    calls = 0
+    real = matrix_orders._mat_pow_mod
+
+    def counting(M, k, n):
+        nonlocal calls
+        calls += 1
+        return real(M, k, n)
+
+    monkeypatch.setattr(matrix_orders, "_mat_pow_mod", counting)
+    _prime_power_order.cache_clear()
+    artin_scan(ScanConfig(d=5, sequence="integers", bound=2000))
+    assert calls <= 9500  # 15 856 when every N recomputed each p^e || N
+
+
+def test_prime_power_memo_is_bounded():
+    assert _prime_power_order.cache_info().maxsize is not None
+
+
+def test_witness_mod_n_catches_a_wrong_prime_power_order(monkeypatch):
+    real = _prime_power_order
+    N = 4 * 7 * 11  # Fibonacci orders 6, 16, 10: each adds to the lcm
+    for bad in (2, 7, 11):
+        def too_large(M, p, e):
+            o, primes = real(M, p, e)
+            return (o * 1009, primes + (1009,)) if p == bad else (o, primes)
+
+        def too_small(M, p, e):
+            o, primes = real(M, p, e)
+            return (o // primes[-1], primes) if p == bad else (o, primes)
+
+        monkeypatch.setattr(matrix_orders, "_prime_power_order", too_large)
+        with pytest.raises(InvariantError, match="not minimal"):
+            mat_order_mod(FIB_MATRIX, N)
+        monkeypatch.setattr(matrix_orders, "_prime_power_order", too_small)
+        with pytest.raises(InvariantError, match="does not annihilate"):
+            mat_order_mod(FIB_MATRIX, N)
 
 
 def test_mat_pow_mod_matches_repeated_products():
