@@ -96,10 +96,10 @@ def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
     k chunks (ns[i::k]), so every chunk holds small and large N alike, and
     the per-item results are put back in input order. There are a few
     chunks per process, so a process slowed down by other load hands its
-    share to the rest. The pool never exceeds the CPU count; the output
-    does not depend on the worker count.
+    share to the rest. The pool never exceeds the CPU count or the item
+    count; the output does not depend on the worker count.
     """
-    procs = min(workers, os.cpu_count() or 1)
+    procs = min(workers, os.cpu_count() or 1, len(ns))
     if procs <= 1:
         per_item = _item_rows(kernel, ctx, ns)
     else:

@@ -148,10 +148,7 @@ class CFExpansion:
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
-        tail_ok = all(a >= 1 for a in self.preperiod[1:]) and all(
-            a >= 1 for a in self.period
-        )
-        if not tail_ok:
+        if min(self.preperiod[1:], default=1) < 1 or min(self.period) < 1:
             raise ValueError("digits after the first must be >= 1")
 
     def digits(self, n: int) -> list[int]:
@@ -182,15 +179,25 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
 
     By Galois' theorem (P + sqrt(D))/Q is purely periodic exactly when it
     is reduced (_reduced). The first reduced state starts the period; the
-    period ends when it returns.
-    A walk longer than MAX_WALK_STEPS raises ValueError."""
+    period ends when it returns. A state P + sqrt(D) (Q = 1) met before
+    then is one digit away from sqrt(D)'s period, whose palindrome
+    _root_period walks only half of; sqrt(D) itself, and so every N*sqrt(d),
+    takes that path at its first step.
+    An expansion longer than MAX_WALK_STEPS digits, mirrored ones included,
+    raises ValueError."""
     P, Q, D = x.P, x.Q, x.D
     s = math.isqrt(D)
     digits: list[int] = []
     start, P0, Q0 = -1, 0, 0  # Q is never 0, so no state matches until set
     for _ in range(MAX_WALK_STEPS):
-        if start < 0 and _reduced(P, Q, s):
-            start, P0, Q0 = len(digits), P, Q
+        if start < 0:
+            if _reduced(P, Q, s):
+                start, P0, Q0 = len(digits), P, Q
+            elif Q == 1:  # P + sqrt(D) with P != s; next comes (s, D - s*s)
+                digits.append(P + s)
+                start = len(digits)
+                digits += _root_period(D, s, MAX_WALK_STEPS - start)
+                return digits, start, (s, D - s * s)
         a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
         digits.append(a)
         P = a * Q - P
@@ -200,6 +207,44 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
         Q = n // Q
         if Q == Q0 and P == P0:
             return digits, start, (P, Q)
+    raise ValueError(f"continued fraction period not closed within {MAX_WALK_STEPS} digits")
+
+
+def _root_period(D: int, s: int, limit: int) -> list[int]:
+    """The period a1 ... a_{L-1}, 2s of sqrt(D), s = isqrt(D), walking only
+    its first half; ValueError when L > limit.
+
+    The period is a palindrome before its last digit, and so are its
+    states: from (P1, Q1) = (s, D - s*s), the k-th step of the walk returns
+    to (P1, Q1) exactly when L = k = 1, repeats P (P_{k+1} = P_k) exactly
+    when L = 2k, and repeats Q exactly when L = 2k + 1 (Perron, Die Lehre
+    von den Kettenbruechen). The digits a1 ... ak walked so far then give
+    the rest by mirroring. Every walked step keeps the lattice check. While
+    the walk has not stopped L >= 2k + 2, so it walks at most (limit + 1)//2
+    steps.
+    """
+    P1, Q1 = P, Q = s, D - s * s
+    half: list[int] = []
+    for _ in range((limit + 1) // 2):
+        a = (P + s) // Q
+        half.append(a)
+        Pn = a * Q - P
+        n = D - Pn * Pn
+        if n % Q:
+            raise InvariantError("state recursion left the integral lattice")
+        Qn = n // Q
+        if Pn == P1 and Qn == Q1:
+            period = half
+        elif Pn == P:
+            period = half + half[-2::-1] + [2 * s]
+        elif Qn == Q:
+            period = half + half[::-1] + [2 * s]
+        else:
+            P, Q = Pn, Qn
+            continue
+        if len(period) <= limit:
+            return period
+        break
     raise ValueError(f"continued fraction period not closed within {MAX_WALK_STEPS} digits")
 
 

@@ -158,6 +158,17 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
     assert recs == artin_scan(ScanConfig(bound=30))  # reassembled in input order
 
 
+def test_one_item_scan_starts_no_pool(monkeypatch):
+    def no_pool(processes):
+        raise AssertionError(f"a pool of {processes} for one item")
+
+    serial = (converge_scan(ScanConfig(bound=2)), artin_scan(ScanConfig(bound=2)))
+    monkeypatch.setattr(experiments, "Pool", no_pool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    cfg = ScanConfig(bound=2, workers=2)
+    assert (converge_scan(cfg), artin_scan(cfg)) == serial
+
+
 def test_duke_scan_invariant_error_names_the_disc(monkeypatch):
     def total_length(disc):
         raise InvariantError("synthetic")

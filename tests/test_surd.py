@@ -19,6 +19,7 @@ from quadcf.surd import (
     scale,
 )
 import quadcf.surd as surd
+from quadcf.arith import InvariantError, is_square
 from quadcf.surd import _state_walk
 from quadcf.quad_orders import surd_coords
 from helpers import cf_digits_of_fraction, dict_state_walk, random_surd, reduced_by_fractions, surd_fraction
@@ -220,6 +221,78 @@ def test_state_walk_matches_dict_hashing_oracle():
     assert min(negative_q, below_one, long_preperiod) > 100
 
 
+def test_pure_root_half_walk_matches_the_general_walk():
+    # sqrt(D) written as sqrt(4D)/2 never has Q = 1, so it takes the full
+    # walk, whose states are those of sqrt(D) doubled
+    for D in range(2, 20_000):
+        if is_square(D):
+            continue
+        digits, start, (P, Q) = _state_walk(Surd(0, 1, D))
+        assert _state_walk(Surd(0, 2, 4 * D)) == (digits, start, (2 * P, 2 * Q)), D
+
+
+def test_pure_root_half_walk_matches_dict_hashing_oracle():
+    for D in range(2, 2000):
+        if not is_square(D):
+            assert _state_walk(Surd(0, 1, D)) == dict_state_walk(Surd(0, 1, D)), D
+
+
+def test_walk_reaching_q_one_after_a_preperiod():
+    # x = [c1; c2, ..., P + sqrt(D)]: the half walk starts one digit after
+    # the state P + sqrt(D), P != isqrt(D), at any depth of the preperiod.
+    # Digits can be put in front of P + sqrt(D) only when it exceeds 1.
+    rng = random.Random(85)
+    for D in (2, 3, 7, 13, 19, 43, 94, 151, 331, 1000, 4097):
+        s = math.isqrt(D)
+        for P in (-s - 3, -s, -1, 0, 1 - s, s - 1, s + 1, 5 * s + 2):
+            if P == s:
+                continue
+            x = Surd(P, 1, D)
+            for depth in range(4 if P + s >= 1 else 1):
+                want = dict_state_walk(x)
+                assert _state_walk(x) == want, x
+                assert want[1:] == (depth + 1, (s, D - s * s)), x
+                # x -> c + 1/x, with 1/x = (-P + sqrt(D)) / ((D - P^2)/Q)
+                q = (D - x.P * x.P) // x.Q
+                x = Surd(rng.randint(1, 5) * q - x.P, q, D)
+
+
+@pytest.mark.parametrize("D, L", [(2, 1), (3, 2), (7, 4), (13, 5)])
+def test_walk_budget_is_exact_at_both_parities(monkeypatch, D, L):
+    # sqrt(D) = [s; period of L digits]: the expansion takes L + 1 digits
+    x = Surd(0, 1, D)
+    monkeypatch.setattr(surd, "MAX_WALK_STEPS", L + 1)
+    e = cf_expand(x)
+    assert len(e.preperiod) + len(e.period) == L + 1 and len(e.period) == L
+    assert periodic_tail(x) == Surd(math.isqrt(D), D - math.isqrt(D) ** 2, D)
+    monkeypatch.setattr(surd, "MAX_WALK_STEPS", L)
+    for walk in (cf_expand, periodic_tail):
+        with pytest.raises(ValueError, match=f"within {L} digits"):
+            walk(x)
+
+
+def test_both_walks_keep_the_lattice_witness():
+    def unchecked(P, Q, D):
+        x = object.__new__(Surd)  # skips Surd's validation
+        for name, value in zip("PQD", (P, Q, D)):
+            object.__setattr__(x, name, value)
+        return x
+
+    class Drifting(int):
+        """A radicand whose subtraction is off by one after its first use."""
+
+        uses = 0
+
+        def __sub__(self, other):
+            Drifting.uses += 1
+            return int(self) - other + (Drifting.uses > 1)
+
+    # (0 + sqrt(7))/3 is off the lattice: the full walk; sqrt(7): the half walk
+    for x in (unchecked(0, 3, 7), unchecked(0, 1, Drifting(7))):
+        with pytest.raises(InvariantError, match="integral lattice"):
+            _state_walk(x)
+
+
 def test_state_walk_stops_at_its_step_budget(monkeypatch):
     x = make_surd(0, 1, 7, 1)  # sqrt(7) = [2; 1, 1, 1, 4]: five digits walked
     monkeypatch.setattr(surd, "MAX_WALK_STEPS", 5)
@@ -279,6 +352,12 @@ def test_cfexpansion_contract():
         CFExpansion((1,), ())
     with pytest.raises(ValueError):
         CFExpansion((), (1, 0))
+    with pytest.raises(ValueError):
+        CFExpansion((1, 0), (1,))  # a 0 after the first digit, in the preperiod
+    # the first digit may be 0 or negative, and the preperiod may be empty
+    assert CFExpansion((-3, 1), (2,)).digits(3) == [-3, 1, 2]
+    assert CFExpansion((0,), (1,)).digits(2) == [0, 1]
+    assert CFExpansion((), (3,)).digits(2) == [3, 3]
     e = CFExpansion((4,), (2, 1))
     assert list(e.digits(6)) == [4, 2, 1, 2, 1, 2]
     assert e.period_length == 2
