@@ -30,6 +30,8 @@ _MR_DET_LIMIT = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# A composite with no prime factor in _SMALL_PRIMES is at least 101**2.
+_SMALL_PRIMES_DECIDE_BELOW = 101**2
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -62,9 +64,10 @@ def _mr_witness(n: int, a: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test.
 
-    Deterministic for n below 3.3e24 (so for everything under 2**64).
-    Above that, 64 Miller-Rabin rounds with bases derived from a seeded
-    generator; error probability below 4**-64 = 2**-128.
+    Trial division by the primes up to 97 decides every n below 101**2.
+    Deterministic Miller-Rabin decides the rest below 3.3e24 (so everything
+    under 2**64). Above that, 64 Miller-Rabin rounds with bases derived
+    from a seeded generator; error probability below 4**-64 = 2**-128.
     """
     if n < 2:
         return False
@@ -73,6 +76,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < _SMALL_PRIMES_DECIDE_BELOW:
+        return True
     if n < _MR_DET_LIMIT:
         return not any(_mr_witness(n, a) for a in _MR_BASES if a % n)
     rng = random.Random(n)

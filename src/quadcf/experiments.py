@@ -16,7 +16,6 @@ import os
 import statistics
 import sys
 from dataclasses import dataclass, fields
-from multiprocessing import Pool
 
 from .arith import InvariantError, is_prime, primes_up_to
 from .class_geodesics import TotalLength, fundamental_decomposition, total_length
@@ -97,13 +96,16 @@ def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
     the per-item results are put back in input order. There are a few
     chunks per process, so a process slowed down by other load hands its
     share to the rest. The pool never exceeds the CPU count or the item
-    count; the output does not depend on the worker count.
+    count, no chunk is empty, and multiprocessing is imported only when a
+    pool starts; the output does not depend on the worker count.
     """
     procs = min(workers, os.cpu_count() or 1, len(ns))
     if procs <= 1:
         per_item = _item_rows(kernel, ctx, ns)
     else:
-        k = 4 * procs
+        from multiprocessing import Pool
+
+        k = min(4 * procs, len(ns))
         with Pool(procs) as pool:
             parts = pool.map(functools.partial(_item_rows, kernel, ctx),
                              [ns[i::k] for i in range(k)])

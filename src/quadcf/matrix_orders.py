@@ -13,6 +13,10 @@ p the characteristic polynomial gives that multiple (p-1 split, p+1 or
 root); mod 2 it is 6, the exponent of GL2(F2) = S3. A scan over N meets
 the same p^e again and again, so the order mod p^e is memoised per
 process on (M, p, e); the lcm is then checked as a witness mod N itself.
+
+Every power M^k mod n comes from the pair (U_k, U_(k-1)) of the Lucas
+sequence of M's characteristic polynomial (Cayley-Hamilton), carried up
+the bits of k on two residues instead of four matrix entries.
 """
 
 from __future__ import annotations
@@ -31,20 +35,27 @@ COMPOSITE = "composite"
 
 
 def _mat_pow_mod(M: Mat2, k: int, n: int) -> Mat2:
-    """M^k mod n by square and multiply on four plain ints."""
+    """M^k mod n from the Lucas pair of M's characteristic polynomial.
+
+    By Cayley-Hamilton M^k = U_k*M - det*U_(k-1)*I, where U_0 = 0, U_1 = 1,
+    U_(j+1) = t*U_j - det*U_(j-1) and t = trace M. A ladder over the bits of
+    k carries (U_j, U_(j-1)) mod n: doubling takes it to (U_2j, U_(2j-1))
+    = (U_j*(t*U_j - 2*det*U_(j-1)), U_j^2 - det*U_(j-1)^2), and a set bit
+    steps it to (U_(j+1), U_j). That is five products per doubling and two
+    per set bit, where 2x2 square and multiply needs five and eight.
+    """
     a, b, c, d = M.a % n, M.b % n, M.c % n, M.d % n
-    ra, rb, rc, rd = 1 % n, 0, 0, 1 % n
-    while k:
-        if k & 1:
-            ra, rb, rc, rd = (
-                (ra * a + rb * c) % n, (ra * b + rb * d) % n,
-                (rc * a + rd * c) % n, (rc * b + rd * d) % n,
-            )
-        k >>= 1
-        if k:
-            bc, t = b * c, a + d
-            a, b, c, d = (a * a + bc) % n, b * t % n, c * t % n, (d * d + bc) % n
-    return Mat2(ra, rb, rc, rd)
+    if not k:
+        return Mat2(1 % n, 0, 0, 1 % n)
+    t, det = (a + d) % n, (a * d - b * c) % n
+    u, v = 1, 0  # (U_j, U_(j-1)) at j = 1, the leading bit of k
+    for bit in bin(k)[3:]:
+        dv = det * v % n
+        u, v = u * (t * u - 2 * dv) % n, (u * u - dv * v) % n
+        if bit == "1":
+            u, v = (t * u - det * v) % n, u
+    dv = det * v
+    return Mat2((u * a - dv) % n, u * b % n, u * c % n, (u * d - dv) % n)
 
 
 def _is_identity(M: Mat2, n: int) -> bool:

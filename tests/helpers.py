@@ -126,6 +126,23 @@ def repeated_mat_product(M: Mat2, k: int, n: int) -> Mat2:
     return R
 
 
+def square_multiply_mat_pow(M: Mat2, k: int, n: int) -> Mat2:
+    """M^k mod n by 2x2 square and multiply on four plain ints."""
+    a, b, c, d = M.a % n, M.b % n, M.c % n, M.d % n
+    ra, rb, rc, rd = 1 % n, 0, 0, 1 % n
+    while k:
+        if k & 1:
+            ra, rb, rc, rd = (
+                (ra * a + rb * c) % n, (ra * b + rb * d) % n,
+                (rc * a + rd * c) % n, (rc * b + rd * d) % n,
+            )
+        k >>= 1
+        if k:
+            bc, t = b * c, a + d
+            a, b, c, d = (a * a + bc) % n, b * t % n, c * t % n, (d * d + bc) % n
+    return Mat2(ra, rb, rc, rd)
+
+
 def ring_order_mod(f, alpha, N: int) -> int:
     """Order of alpha in (O/NO)^x by repeated multiplication with
     coordinates reduced mod N each step. Needs gcd(norm(alpha), N) = 1."""

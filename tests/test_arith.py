@@ -23,9 +23,11 @@ def test_is_square():
 
 
 def test_is_prime_matches_sieve():
-    primes = set(sieve_primes(10**4))
-    for n in range(-3, 10**4 + 1):
+    primes = set(sieve_primes(2 * 10**4))  # past the trial-division cutoff 101**2
+    for n in range(-3, 2 * 10**4 + 1):
         assert is_prime(n) == (n in primes), n
+    assert is_prime(10201) is False  # 101**2, the first composite trial division misses
+    assert is_prime(10403) is False  # 101 * 103
 
 
 def test_is_prime_known_values():

@@ -1,6 +1,12 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +34,8 @@ from quadcf.experiments import (
 from quadcf.class_geodesics import TotalLength, total_length
 from quadcf.matrix_orders import INERT, RAMIFIED, SPLIT, OrderRecord
 from helpers import brute_pisano, sieve_primes
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_headers_are_frozen():
@@ -135,12 +143,15 @@ def test_artin_scan_parallel_matches_serial():
     assert a == b
 
 
-def test_pool_is_capped_at_cpu_count(monkeypatch):
-    sizes = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace multiprocessing.Pool by one that maps in process; returns
+    the record of each pool's size and chunks."""
+    seen = SimpleNamespace(sizes=[], chunks=[])
 
     class SerialPool:
         def __init__(self, processes):
-            sizes.append(processes)
+            seen.sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -149,13 +160,29 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, chunks):
+            seen.chunks.append(chunks)
             return [fn(chunk) for chunk in chunks]
 
-    monkeypatch.setattr(experiments, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return seen
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch, serial_pool):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     recs = artin_scan(ScanConfig(bound=30, workers=10_000))
-    assert sizes == [3]
+    assert serial_pool.sizes == [3]
     assert recs == artin_scan(ScanConfig(bound=30))  # reassembled in input order
+
+
+def test_pool_gets_no_empty_chunk(monkeypatch, serial_pool):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    serial = (converge_scan(ScanConfig(bound=3)), artin_scan(ScanConfig(bound=3)))
+    cfg = ScanConfig(bound=3, workers=2)
+    assert (converge_scan(cfg), artin_scan(cfg)) == serial
+    assert serial_pool.sizes == [2, 2]
+    assert serial_pool.chunks == [[[2], [3]], [[2], [3]]]  # 2 items: 2 chunks, not 8
+    assert artin_scan(ScanConfig(bound=30, workers=2)) == artin_scan(ScanConfig(bound=30))
+    assert len(serial_pool.chunks[-1]) == 8 and all(serial_pool.chunks[-1])
 
 
 def test_one_item_scan_starts_no_pool(monkeypatch):
@@ -163,10 +190,20 @@ def test_one_item_scan_starts_no_pool(monkeypatch):
         raise AssertionError(f"a pool of {processes} for one item")
 
     serial = (converge_scan(ScanConfig(bound=2)), artin_scan(ScanConfig(bound=2)))
-    monkeypatch.setattr(experiments, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     cfg = ScanConfig(bound=2, workers=2)
     assert (converge_scan(cfg), artin_scan(cfg)) == serial
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = "import sys, quadcf.cli; print('multiprocessing' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_duke_scan_invariant_error_names_the_disc(monkeypatch):

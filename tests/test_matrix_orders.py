@@ -18,7 +18,14 @@ from quadcf.arith import InvariantError, factorize
 from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, alg_norm, field_data, phi
 from quadcf.matrix_orders import _mat_pow_mod, _prime_power_order
-from helpers import brute_mat_order, brute_pisano, repeated_mat_product, ring_order_mod, sieve_primes
+from helpers import (
+    brute_mat_order,
+    brute_pisano,
+    repeated_mat_product,
+    ring_order_mod,
+    sieve_primes,
+    square_multiply_mat_pow,
+)
 
 FIB_MATRIX = Mat2(0, 1, 1, 1)
 
@@ -148,6 +155,25 @@ def test_mat_pow_mod_matches_repeated_products():
         assert _mat_pow_mod(M, k, n) == repeated_mat_product(M, k, n), (M, k, n)
     assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 0, 9) == Mat2(1, 0, 0, 1)
     assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 5, 1) == Mat2(0, 0, 0, 0)
+
+
+def test_lucas_ladder_matches_square_and_multiply():
+    rng = random.Random(11)
+    prime_powers = [2**61, 3**40, 101**9, (2**61 - 1) ** 2, 7]
+    for i in range(3000):
+        a, b, c, d = (rng.randint(-10**30, 10**30) for _ in range(4))
+        n = rng.choice([1, 2, rng.choice(prime_powers), rng.randint(1, 10**18)])
+        if i % 4 == 0:  # p | det and p | n; det = 0 mod n when n = p
+            p = rng.choice([2, 3, 1009, 2**61 - 1])
+            a, c, n = a * p, c * p, p * rng.choice([1, p, rng.randint(1, 10**12)])
+        M = Mat2(a, b, c, d)
+        k = rng.choice([0, 1, 2, 3, rng.randint(0, 64), rng.randint(0, 2**80),
+                        2 ** rng.randint(0, 80), 2 ** rng.randint(1, 80) - 1])
+        assert _mat_pow_mod(M, k, n) == square_multiply_mat_pow(M, k, n), (M, k, n)
+    for M in (Mat2(4, 2, 2, 1), Mat2(0, 0, 0, 0), Mat2(6, -3, 10, -5)):  # det 0
+        for n in (1, 2, 9, 10**18 + 9):
+            for k in range(12):
+                assert _mat_pow_mod(M, k, n) == square_multiply_mat_pow(M, k, n), (M, k, n)
 
 
 def test_mat_order_errors_and_identity_modulus():
