@@ -1,10 +1,14 @@
 """Cycles of reduced indefinite binary quadratic forms.
 
 A form (a, b, c) of positive nonsquare discriminant b^2 - 4ac is reduced
-when |sqrt(disc) - 2|a|| < b < sqrt(disc); both inequalities are decided
-exactly with isqrt. The reduction step rho permutes the finitely many
-reduced forms of a discriminant, its cycles are the form classes, and the
-cycle count times the order's regulator is the total length invariant.
+when |sqrt(disc) - 2|a|| < b < sqrt(disc), i.e. when the surd
+(b + sqrt(disc))/(2|a|) is reduced; surd._reduced decides it exactly with
+isqrt. The reduction step rho permutes the finitely many reduced forms of
+a discriminant, and its cycles are the narrow form classes.
+
+total_length is h+ * R, the narrow cycle count times the wide regulator
+R = log(eps). Duke's total length is h+ * R+ = 2hR (R+ from the totally
+positive units): equal to it when N(eps) = +1, twice it when N(eps) = -1.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 from .arith import Factorization, InvariantError, factorize, is_square, primes_up_to, sqrt_mod
 from .quad_orders import OrderSpec, field_data, regulator_of_order
+from .surd import _reduced
 
 
 @functools.lru_cache(maxsize=128)
@@ -44,13 +49,8 @@ class IndefForm:
         return self.b * self.b - 4 * self.a * self.c
 
     def is_reduced(self) -> bool:
-        # |sqrt(disc) - 2|a|| < b < sqrt(disc), all via s = isqrt(disc):
-        # b < sqrt(disc)      <=>  b <= s        (sqrt irrational)
-        # sqrt(disc) < 2|a|+b <=>  2|a|+b >= s+1
-        # 2|a|-b < sqrt(disc) <=>  2|a|-b <= s
-        s = _check_disc(self.disc)
-        aa = 2 * abs(self.a)
-        return 0 < self.b <= s and aa + self.b >= s + 1 and aa - self.b <= s
+        """Is the surd (b + sqrt(disc))/(2|a|) reduced?"""
+        return _reduced(self.b, 2 * abs(self.a), _check_disc(self.disc))
 
 
 def _factor_products(disc: int) -> Iterator[tuple[int, Factorization]]:
@@ -128,46 +128,18 @@ def rho(F: IndefForm) -> IndefForm:
     """Reduction-step permutation on reduced forms: (a, b, c) becomes
     (c, b', (b'^2 - disc)/(4c)) with b' = -b mod 2|c| pulled into the
     reduced window (s - 2|c|, s]."""
-    if not F.is_reduced():
-        raise ValueError("rho expects a reduced form")
     disc = F.disc
     s = _check_disc(disc)
+    if not _reduced(F.b, 2 * abs(F.a), s):
+        raise ValueError("rho expects a reduced form")
     two_c = 2 * abs(F.c)
     b2 = s - (s + F.b) % two_c
     c2, rem = divmod(b2 * b2 - disc, 4 * F.c)
     if rem:
         raise InvariantError("rho left the discriminant lattice")
-    out = IndefForm(F.c, b2, c2)
-    if not out.is_reduced():
+    if not _reduced(b2, two_c, s):
         raise InvariantError("rho left the reduced set")
-    return out
-
-
-def reduce_form(F: IndefForm) -> tuple[IndefForm, int]:
-    """Reduce an arbitrary form; returns (reduced form, steps taken).
-
-    The same (a,b,c) -> (c,b',c') step, with b' chosen in (-|c|, |c|]
-    while |c| is still large and in the reduced window once it is small.
-    The number of steps is logarithmic in the coefficients.
-    """
-    s = _check_disc(F.disc)
-    max_steps = 10 + 4 * F.disc.bit_length() + 2 * max(abs(F.a), abs(F.c)).bit_length()
-    steps = 0
-    while not F.is_reduced():
-        two_c = 2 * abs(F.c)
-        if abs(F.c) > s:
-            r = (-F.b) % two_c
-            b2 = r if r <= abs(F.c) else r - two_c
-        else:
-            b2 = s - (s + F.b) % two_c
-        c2, rem = divmod(b2 * b2 - F.disc, 4 * F.c)
-        if rem:
-            raise InvariantError("reduction left the discriminant lattice")
-        F = IndefForm(F.c, b2, c2)
-        steps += 1
-        if steps > max_steps:
-            raise InvariantError("reduction failed to terminate")
-    return F, steps
+    return IndefForm(F.c, b2, c2)
 
 
 def class_number(disc: int) -> int:
@@ -209,6 +181,9 @@ def fundamental_decomposition(disc: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TotalLength:
+    """h is h+, reg the wide R, total_length = h+ * R: Duke's h+ * R+ when
+    N(eps) = +1, half of it when N(eps) = -1."""
+
     disc: int
     h: int
     reg: float
@@ -217,8 +192,9 @@ class TotalLength:
 
 
 def total_length(disc: int) -> TotalLength:
-    """Class number times the regulator of the order of that discriminant,
-    with the exponent ln(h*reg)/ln(sqrt(disc)) that the census tracks."""
+    """Narrow class number times the wide regulator of the order, h+ * R,
+    with the exponent ln(h*reg)/ln(sqrt(disc)) that the census tracks:
+    Duke's h+ * R+ = 2hR when N(eps) = +1, hR (half) when N(eps) = -1."""
     return _total_length(disc, class_number(disc))
 
 

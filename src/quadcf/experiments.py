@@ -157,7 +157,10 @@ def _converge_item(ctx, n: int) -> list[DeviationRow]:
     cond = conductor_of_surd(fdata, xn)
     disc = cond * cond * fdata.D
     reg = fdata.regD * unit_group_index(fdata, cond)
-    rexp = math.log(reg) / math.log(math.sqrt(disc))
+    try:
+        rexp = math.log(reg) / math.log(math.sqrt(disc))
+    except OverflowError:  # disc beyond the float range
+        raise UsageError(f"N={n}: order discriminant is too large for a float value") from None
     nprime = is_prime(n)
     rows = []
     for label, pat, cw_float in patterns:

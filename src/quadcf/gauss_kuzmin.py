@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surd import CFExpansion, Surd, cf_expand
+from .surd import CFExpansion
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,3 @@ def pattern_frequency(e: CFExpansion, w) -> Fraction:
     windows = zip(*(itertools.islice(tiled, j, j + L) for j in range(k)))
     return Fraction(sum(map(digits.__eq__, windows)), L)
 
-
-def deviation(x: Surd, w) -> float:
-    """|pattern_frequency - c_w| as a float.
-
-    Both inputs to the subtraction are correctly rounded (exact rational
-    to float, and log2 of big ints), so the result is within 2**-50 of the
-    true deviation.
-    """
-    freq = pattern_frequency(cf_expand(x), w)
-    return abs(freq.numerator / freq.denominator - c_w(w).as_float())

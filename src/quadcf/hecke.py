@@ -128,11 +128,6 @@ def _prime_multiset(n: int) -> list[int]:
     return out
 
 
-def chain_to_generator(f: FieldData, x: Surd) -> HeckeChain:
-    """Chain from x to the canonical generator xD of its field."""
-    return chain_between(x, f.xD)
-
-
 def scale_chain(chain: HeckeChain, n: int) -> HeckeChain:
     """The chain with every node multiplied by n, connecting n*x to n*y
     with the very same step primes.

@@ -158,28 +158,12 @@ def alg_pow(f: FieldData, u: AlgInt, k: int) -> AlgInt:
     return r
 
 
-def alg_norm(f: FieldData, u: AlgInt) -> int:
-    return u.a * u.a + u.a * u.b * f.t + u.b * u.b * f.nrm
-
-
-def alg_trace(f: FieldData, u: AlgInt) -> int:
-    return 2 * u.a + u.b * f.t
-
-
-def alg_conj(f: FieldData, u: AlgInt) -> AlgInt:
-    return AlgInt(u.a + u.b * f.t, -u.b)
-
-
 def alg_value(f: FieldData, u: AlgInt, bits: int = 96) -> Fraction:
     return u.a + u.b * eval_approx(f.xD, bits)
 
 
-def alg_log(f: FieldData, u: AlgInt) -> float:
-    """Natural log of the real value of u; u must be positive."""
-    return _log_value(f.xD, u)
-
-
 def _log_value(xD: Surd, u: AlgInt) -> float:
+    """Natural log of the real value of u; u must be positive."""
     fr = u.a + u.b * eval_approx(xD, 96)
     if fr <= 0:
         raise ValueError("log of a non-positive element")
@@ -231,13 +215,6 @@ def _unit_from_period(xD: Surd, t: int, nrm: int, z: Surd) -> tuple[AlgInt, int]
     if norm != (-1) ** len(period):
         raise InvariantError("automorph norm disagrees with period parity")
     return eps, norm
-
-
-def unit_from_period(f: FieldData, z: Surd) -> AlgInt:
-    """Fundamental unit of the order attached to the lattice Z + Z*z,
-    computed from z's continued-fraction period. z must lie in f's field
-    (else ValueError)."""
-    return _unit_from_period(f.xD, f.t, f.nrm, z)[0]
 
 
 # ---- suborders ----

@@ -143,17 +143,22 @@ def square_multiply_mat_pow(M: Mat2, k: int, n: int) -> Mat2:
     return Mat2(ra, rb, rc, rd)
 
 
+def element_norm(f, u) -> int:
+    """Norm of u = a + b*xD, with xD's trace t and norm nrm from the field:
+    (a + b*xD)(a + b*xD') = a^2 + a*b*t + b^2*nrm."""
+    return u.a * u.a + u.a * u.b * f.t + u.b * u.b * f.nrm
+
+
 def ring_order_mod(f, alpha, N: int) -> int:
     """Order of alpha in (O/NO)^x by repeated multiplication with
     coordinates reduced mod N each step. Needs gcd(norm(alpha), N) = 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    a0, b0 = alpha.a, alpha.b
-    if math.gcd(a0 * a0 + a0 * b0 * f.t + b0 * b0 * f.nrm, N) != 1:
+    if math.gcd(element_norm(f, alpha), N) != 1:
         raise ValueError("element is not invertible mod N")
     if N == 1:
         return 1
-    a0, b0 = a0 % N, b0 % N
+    a0, b0 = alpha.a % N, alpha.b % N
     a, b = a0, b0
     t, nrm = f.t % N, f.nrm % N
     for k in range(1, 4 * N * N + 2):
@@ -162,6 +167,36 @@ def ring_order_mod(f, alpha, N: int) -> int:
         bb = b * b0 % N
         a, b = (a * a0 - bb * nrm) % N, (a * b0 + b * a0 + bb * t) % N
     raise RuntimeError("order search exceeded the group size")
+
+
+def reduce_form(F: IndefForm) -> tuple[IndefForm, int]:
+    """Reduce an arbitrary form; returns (reduced form, steps taken).
+
+    Each step is (a, b, c) -> (c, b', (b'^2 - disc)/(4c)) with b' = -b mod
+    2|c|, taken in (-|c|, |c|] while |c| > isqrt(disc) and in the reduced
+    window (s - 2|c|, s] once |c| is small. Reduced means |sqrt(disc) -
+    2|a|| < b < sqrt(disc), decided here with isqrt term by term.
+    """
+    a, b, c = F.a, F.b, F.c
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc)
+    max_steps = 10 + 4 * disc.bit_length() + 2 * max(abs(a), abs(c)).bit_length()
+    steps = 0
+    # b < sqrt(disc), sqrt(disc) < 2|a| + b, 2|a| - b < sqrt(disc)
+    while not (0 < b <= s and 2 * abs(a) + b >= s + 1 and 2 * abs(a) - b <= s):
+        two_c = 2 * abs(c)
+        if abs(c) > s:
+            r = -b % two_c
+            b2 = r if r <= abs(c) else r - two_c
+        else:
+            b2 = s - (s + b) % two_c
+        c2, rem = divmod(b2 * b2 - disc, 4 * c)
+        assert rem == 0, "reduction left the discriminant lattice"
+        a, b, c = c, b2, c2
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError("reduction failed to terminate")
+    return IndefForm(a, b, c), steps
 
 
 def reduced_by_fractions(x: Surd) -> bool:

@@ -12,13 +12,12 @@ from quadcf.class_geodesics import (
     TotalLength,
     class_number,
     fundamental_decomposition,
-    reduce_form,
     reduced_forms,
     rho,
     total_length,
 )
 from quadcf.quad_orders import field_data
-from helpers import dirichlet_class_number, frac_sqrt, reduced_forms_by_factorize
+from helpers import dirichlet_class_number, frac_sqrt, reduce_form, reduced_forms_by_factorize
 
 SMALL_DISCS = [5, 8, 12, 13, 17, 20, 21, 24, 28, 32, 33, 40, 44, 45, 48, 60, 229]
 

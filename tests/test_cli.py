@@ -17,6 +17,8 @@ DEVIATION_HEADER = (
 # the period of its square root is about sqrt(10**30) = 10**15 digits long
 HUGE_RADICAND = "1000000000000000000000000000003"
 SEMIPRIME_RADICAND = "5859824980284060829895849672056204220491"
+# primes s^2 + 1 of 321 and 401 digits: period length 1, discriminant past the float range
+FLOAT_OVERFLOW_RADICANDS = [str((10**160 + 376) ** 2 + 1), str((10**200 + 50) ** 2 + 1)]
 
 
 def run(argv):
@@ -191,6 +193,9 @@ def test_exit_code_2_on_bad_usage(capsys):
         ["artin", "--d", SEMIPRIME_RADICAND],
         ["converge", "--d", SEMIPRIME_RADICAND, "--bound", "3"],
         ["converge", "--r", "1000000000000", "--bound", "3", "--workers", "2"],  # in a worker
+        # order discriminants over the float range, in this process and in workers
+        *(["converge", "--d", d, "--bound", "3", "--workers", w]
+          for d in FLOAT_OVERFLOW_RADICANDS for w in ("1", "2")),
         # units too large to print: over the int-to-str digit limit, over the float range
         ["unit", "--d", "17804791"],
         ["unit", "--d", "1100023"],
@@ -211,6 +216,7 @@ def test_refusals_name_their_limit(capsys):
         (["classno", "--disc", "1000000000000000000000000000005"], "1000000 (disc, b) pairs"),
         (["unit", "--d", "17804791"], f"more than {sys.get_int_max_str_digits()} digits"),
         (["unit", "--d", "1100023"], "too large for a float"),
+        (["converge", "--d", FLOAT_OVERFLOW_RADICANDS[0], "--bound", "3"], "too large for a float"),
         (["unit", "--d", "5", "--conductor", "1000000000000000001"],
          "--conductor must be <= 1000000000000000000"),
     ]:

@@ -11,9 +11,9 @@ from quadcf.gauss_kuzmin import (
     Pattern,
     c_w,
     cylinder,
-    deviation,
     pattern_frequency,
 )
+from quadcf.experiments import ScanConfig, converge_scan
 from quadcf.surd import cf_expand, make_surd
 from helpers import random_surd
 
@@ -161,9 +161,11 @@ def test_refinement_identity_is_exact():
 
 
 def test_deviation_value_for_sqrt8():
-    x = make_surd(0, 1, 8, 1)
+    # the N = 2 row of a sqrt(2) scan is 2*sqrt(2) = sqrt(8) = [2; (1, 4)]
+    (row,) = converge_scan(ScanConfig(d=2, patterns=((1,),), bound=2))
+    assert row.N == 2
     want = abs(0.5 - math.log2(Fraction(4, 3)))
-    assert abs(deviation(x, (1,)) - want) < 1e-12
+    assert abs(row.deviation - want) < 1e-12
     assert abs(want - 0.08496250072115608) < 1e-15
 
 

@@ -12,7 +12,6 @@ from quadcf.hecke import (
     HeckeChain,
     are_neighbors,
     chain_between,
-    chain_to_generator,
     conductor_bounds_check,
     same_lattice,
     scale_chain,
@@ -128,7 +127,7 @@ def test_chain_between_caps_the_coefficients_it_factors():
 
 def test_chain_to_generator_pure_division():
     f = field_data(2)
-    c = chain_to_generator(f, scale(f.xD, 6))
+    c = chain_between(scale(f.xD, 6), f.xD)
     assert c.steps == ((2, UP), (3, UP))
     assert surd_coords(c.nodes[-1]) == surd_coords(f.xD)
 

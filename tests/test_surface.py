@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 import types
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import quadcf
 
 SRC = Path(quadcf.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_public_names_are_frozen():
@@ -53,3 +55,35 @@ def test_library_imports_only_the_standard_library():
                 continue
             for top in tops:
                 assert top in sys.stdlib_module_names, (path.name, node.lineno, top)
+
+
+def test_every_public_definition_runs_outside_the_tests():
+    # a public def or class reached only from tests/ belongs in tests/helpers.py
+    used: set[tuple[str, str]] = set()  # (module, name)
+    callers = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    for path in callers:
+        if path.name.startswith("test_"):
+            continue
+        own = path.stem if path.parent == SRC else None
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                used.update((node.module.rpartition(".")[2], a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Name) and own:
+                used.add((own, node.id))
+    # README names count when they are code: fenced blocks and `inline` spans
+    parts = (ROOT / "README.md").read_text().split("```")
+    code = parts[1::2] + [span for prose in parts[::2] for span in re.findall(r"`([^`]+)`", prose)]
+    named = set(re.findall(r"\w+", " ".join(code)))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and (path.stem, node.name) not in used
+                and node.name not in named
+            ):
+                unused.append(f"{path.stem}.{node.name}")
+    assert not unused, f"only tests use: {', '.join(unused)}"
