@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -33,16 +34,20 @@ def _check_disc(disc: int) -> int:
     return math.isqrt(disc)
 
 
-@dataclass(frozen=True, slots=True)
-class IndefForm:
-    a: int
-    b: int
-    c: int
+class IndefForm(namedtuple("IndefForm", "a b c")):
+    """The form a*x^2 + b*xy + c*y^2, as the triple (a, b, c). Built only
+    when a, c != 0 and the discriminant is valid."""
 
-    def __post_init__(self):
-        if self.a == 0 or self.c == 0:
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        if a == 0 or c == 0:
             raise ValueError("degenerate form")
-        _check_disc(self.disc)
+        _check_disc(b * b - 4 * a * c)
+        return tuple.__new__(cls, (a, b, c))
+
+    # namedtuple's _make, which _replace calls too, would skip the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def disc(self) -> int:
@@ -128,18 +133,19 @@ def rho(F: IndefForm) -> IndefForm:
     """Reduction-step permutation on reduced forms: (a, b, c) becomes
     (c, b', (b'^2 - disc)/(4c)) with b' = -b mod 2|c| pulled into the
     reduced window (s - 2|c|, s]."""
-    disc = F.disc
+    a, b, c = F
+    disc = b * b - 4 * a * c
     s = _check_disc(disc)
-    if not _reduced(F.b, 2 * abs(F.a), s):
+    if not _reduced(b, 2 * abs(a), s):
         raise ValueError("rho expects a reduced form")
-    two_c = 2 * abs(F.c)
-    b2 = s - (s + F.b) % two_c
-    c2, rem = divmod(b2 * b2 - disc, 4 * F.c)
+    two_c = 2 * abs(c)
+    b2 = s - (s + b) % two_c
+    c2, rem = divmod(b2 * b2 - disc, 4 * c)
     if rem:
         raise InvariantError("rho left the discriminant lattice")
     if not _reduced(b2, two_c, s):
         raise InvariantError("rho left the reduced set")
-    return IndefForm(F.c, b2, c2)
+    return IndefForm(c, b2, c2)
 
 
 def class_number(disc: int) -> int:

@@ -22,6 +22,7 @@ from .class_geodesics import TotalLength, fundamental_decomposition, total_lengt
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
 from .matrix_orders import OrderRecord, _record_for
 from .quad_orders import (
+    _squarefree_field,
     conductor_of_surd,
     field_data,
     phi,
@@ -98,10 +99,13 @@ def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
     share to the rest. The pool never exceeds the CPU count or the item
     count, no chunk is empty, and multiprocessing is imported only when a
     pool starts; the output does not depend on the worker count.
+
+    Each chunk stops at its first failing item, and the exception raised
+    is that of the first failing n in the order of ns, as with one worker.
     """
     procs = min(workers, os.cpu_count() or 1, len(ns))
     if procs <= 1:
-        per_item = _item_rows(kernel, ctx, ns)
+        k, parts = 1, [_item_rows(kernel, ctx, ns)]
     else:
         from multiprocessing import Pool
 
@@ -109,20 +113,29 @@ def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
         with Pool(procs) as pool:
             parts = pool.map(functools.partial(_item_rows, kernel, ctx),
                              [ns[i::k] for i in range(k)])
-        per_item = [None] * len(ns)
-        for i, part in enumerate(parts):
-            per_item[i::k] = part
+    # chunk i holds ns[i::k], so its j-th item is ns[i + j*k]
+    failures = [(i + f[0] * k, f[1]) for i, (_, f) in enumerate(parts) if f]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    per_item = [None] * len(ns)
+    for i, (rows, _) in enumerate(parts):
+        per_item[i::k] = rows
     return [row for rows in per_item for row in rows]
 
 
-def _item_rows(kernel, ctx, ns: list[int]) -> list[list]:
+def _item_rows(kernel, ctx, ns: list[int]) -> tuple[list[list], tuple[int, Exception] | None]:
+    """The rows of each n up to the first that raises, and that n's index
+    in ns with its exception (None when every n succeeds)."""
     out = []
-    for n in ns:
+    for j, n in enumerate(ns):
         try:
-            out.append(kernel(ctx, n))
-        except InvariantError as e:
-            raise InvariantError(f"N={n}: {e}") from e
-    return out
+            try:
+                out.append(kernel(ctx, n))
+            except InvariantError as e:
+                raise InvariantError(f"N={n}: {e}") from e
+        except Exception as e:
+            return out, (j, e)
+    return out, None
 
 
 # ---- deviation scan (pattern frequencies along N*x) ----
@@ -179,7 +192,8 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     validate_config(cfg)
     base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
     cf_expand(base)  # the bounded walk refuses a radicand too large before it is factored
-    fdata = field_data(surd_coords(base)[0])
+    # surd_coords factors the radicand: its m is squarefree, so it is not factored again
+    fdata = _squarefree_field(surd_coords(base)[0])
     patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
     return run_items(_converge_item, (base, fdata, patterns), sequence_values(cfg), cfg.workers)
 

@@ -125,11 +125,17 @@ def field_data(d: int) -> FieldData:
     not_fundamental = f"{d} is neither squarefree nor a fundamental discriminant"
     if m != d and m % 4 in (0, 1):
         raise ValueError(not_fundamental)
+    fdata = _squarefree_field(m)
+    if not factorize(m).is_squarefree():
+        raise ValueError(not_fundamental)
+    return fdata
+
+
+def _squarefree_field(m: int) -> FieldData:
+    """field_data of m > 1, taken to be squarefree without a check."""
     xD = _generator(m)
     D, t, nrm = (m, 1, (1 - m) // 4) if m % 4 == 1 else (4 * m, 0, -m)
     eps, norm = _unit_from_period(xD, t, nrm, xD)
-    if not factorize(m).is_squarefree():
-        raise ValueError(not_fundamental)
     return FieldData(m, D, xD, t, nrm, eps, _log_value(xD, eps), norm)
 
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -44,6 +46,29 @@ def test_form_validation():
     with pytest.raises(ValueError):
         IndefForm(1, 3, 2)  # disc 1, a perfect square
     IndefForm(1, 4, 2)  # disc 8, constructible
+
+
+def test_form_is_a_validated_triple():
+    F = IndefForm(a=1, b=4, c=-2)  # keyword construction
+    assert F == IndefForm(1, 4, -2) == (1, 4, -2)
+    assert hash(F) == hash((1, 4, -2))
+    a, b, c = F
+    assert (a, b, c) == (F.a, F.b, F.c) == (1, 4, -2) and F.disc == 24
+    # the repr of the frozen dataclass it replaced, byte for byte
+    assert repr(F) == "IndefForm(a=1, b=4, c=-2)"
+    assert repr(IndefForm(-10**20, 10**20 + 1, 3)) == (
+        "IndefForm(a=-100000000000000000000, b=100000000000000000001, c=3)")
+    for G in (pickle.loads(pickle.dumps(F)), pickle.loads(pickle.dumps(F, 0)),
+              copy.copy(F), copy.deepcopy(F), copy.deepcopy([F])[0]):
+        assert G == F and type(G) is IndefForm
+    with pytest.raises(TypeError):
+        IndefForm(1, 4)
+    # the namedtuple helpers validate too
+    assert IndefForm._make([1, 4, -2]) == F._replace(c=-2) == F
+    with pytest.raises(ValueError):
+        IndefForm._make((0, 1, 1))
+    with pytest.raises(ValueError):
+        F._replace(b=1, c=2)  # disc -7
 
 
 def test_is_reduced_matches_real_inequalities():
@@ -239,3 +264,56 @@ def test_class_number_refuses_a_rho_that_is_not_a_permutation(monkeypatch):
     monkeypatch.setattr(class_geodesics, "rho", lambda F: first)
     with pytest.raises(InvariantError):
         class_number(229)
+
+
+def test_rho_keeps_its_lattice_witness():
+    # correct input never leaves the lattice; an int subclass whose 4*a is
+    # one too large makes the form's discriminant 21 instead of 20, so
+    # (b'^2 - disc)/(4c) is no longer an integer
+    class Drift(int):
+        def __rmul__(self, other):
+            return int(other) * int(self) + 1
+
+    F = IndefForm(Drift(1), 4, -1)
+    assert F.disc == 21
+    with pytest.raises(InvariantError, match="lattice"):
+        rho(F)
+
+
+def test_rho_keeps_its_output_reducedness_witness(monkeypatch):
+    # a wrong isqrt (5 - 2 for disc 28) still passes the input check but
+    # pulls b' out of the reduced window
+    F = IndefForm(-2, 2, 3)
+    assert F in reduced_forms(28)
+    monkeypatch.setattr(class_geodesics, "_check_disc", lambda disc: math.isqrt(disc) - 2)
+    with pytest.raises(InvariantError, match="reduced set"):
+        rho(F)
+
+
+@pytest.mark.parametrize("disc", [229, 45, 12])
+def test_class_number_calls_rho_once_per_form(monkeypatch, disc):
+    # the benchmark's duke trace asserts forms == rho.calls: class_number
+    # enumerates the forms once and walks each one with the public rho once.
+    # 229 has N(eps) = -1, 12 has N(eps) = +1, 45 = 3^2 * 5 is not fundamental
+    assert fundamental_decomposition(disc)[1] == (3 if disc == 45 else 1)
+    real_forms, real_rho = reduced_forms, rho
+    listed, stepped = [], []
+
+    def counting_forms(d):
+        out = real_forms(d)
+        listed.append(len(out))
+        return out
+
+    def counting_rho(F):
+        stepped.append(F)
+        return real_rho(F)
+
+    monkeypatch.setattr(class_geodesics, "reduced_forms", counting_forms)
+    monkeypatch.setattr(class_geodesics, "rho", counting_rho)
+    for run in (class_number, lambda d: total_length(d).h):
+        listed.clear()
+        stepped.clear()
+        run(disc)
+        assert len(listed) == 1
+        assert len(stepped) == listed[0] == len(real_forms(disc))
+        assert set(stepped) == set(real_forms(disc))

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from quadcf import experiments
+from quadcf import arith, class_geodesics, experiments, matrix_orders, quad_orders
 from quadcf.arith import InvariantError
 from quadcf.experiments import (
     MAX_ITEMS,
@@ -194,6 +194,49 @@ def test_one_item_scan_starts_no_pool(monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     cfg = ScanConfig(bound=2, workers=2)
     assert (converge_scan(cfg), artin_scan(cfg)) == serial
+
+
+@pytest.mark.parametrize("error, message", [
+    (InvariantError, "N=2: synthetic at 2"), (UsageError, "synthetic at 2")])
+def test_first_failing_item_is_raised_at_any_worker_count(monkeypatch, serial_pool,
+                                                          error, message):
+    # 10 items at 2 processes make 8 chunks: chunk 0 is [1, 9], chunk 1 is
+    # [2, 10]. Chunk 0 fails at N=9 before chunk 1 fails at N=2, but N=2
+    # comes first in the input, as with one worker.
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    calls = []
+
+    def kernel(ctx, n):
+        calls.append(n)
+        if n in (2, 9):
+            raise error(f"synthetic at {n}")
+        return [n]
+
+    for workers in (1, 2):
+        with pytest.raises(error) as info:
+            experiments.run_items(kernel, None, list(range(1, 11)), workers)
+        assert str(info.value) == message
+    assert serial_pool.chunks[0][:2] == [[1, 9], [2, 10]]
+    assert 10 not in calls  # chunk 1 stopped at its first failure
+
+
+def test_converge_setup_factors_the_radicand_once(monkeypatch):
+    real = arith.factorize
+    factored = []
+
+    def counting(n):
+        factored.append(n)
+        return real(n)
+
+    for mod in (quad_orders, matrix_orders, class_geodesics, experiments):
+        monkeypatch.setattr(mod, "factorize", counting, raising=False)
+    # stop before the items: only the set-up runs
+    monkeypatch.setattr(experiments, "run_items", lambda kernel, ctx, ns, workers: ctx)
+    for p, r, d, q in ((0, 1, 2, 1), (1, 3, 5, 2), (0, 1, 1001, 1), (-2, 7, 10**18 + 1, 5)):
+        factored.clear()
+        base, fdata, _ = converge_scan(ScanConfig(p=p, r=r, d=d, q=q))
+        assert factored == [base.D]
+        assert fdata == quad_orders.field_data(d)
 
 
 def test_cli_import_leaves_multiprocessing_out():
