@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .arith import Factorization, InvariantError, factorize, is_square, primes_up_to, sqrt_mod
+from .arith import InvariantError, factorize, is_square, primes_up_to, sqrt_mod
 from .quad_orders import OrderSpec, field_data, regulator_of_order
 from .surd import _reduced
 
@@ -58,9 +58,10 @@ class IndefForm(namedtuple("IndefForm", "a b c")):
         return _reduced(self.b, 2 * abs(self.a), _check_disc(self.disc))
 
 
-def _factor_products(disc: int) -> Iterator[tuple[int, Factorization]]:
-    """(b, factorization of m = (disc - b^2)/4) for every b <= isqrt(disc)
-    with b = disc mod 2, b ascending, from one sieve over the polynomial.
+def _factor_products(disc: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """(b, m, factors) with m = (disc - b^2)/4 = product of p**e over the
+    factors, p ascending, for every b <= isqrt(disc) with b = disc mod 2,
+    b ascending, from one sieve over the polynomial.
 
     With b = b0 + 2i, m is a quadratic in i. An odd prime p divides it
     exactly when b = +-sqrt(disc) mod p, i.e. for i in at most two classes
@@ -102,7 +103,7 @@ def _factor_products(disc: int) -> Iterator[tuple[int, Factorization]]:
             check *= p**e
         if check != m:
             raise InvariantError(f"sieved factorization of {m} does not multiply back")
-        yield b, Factorization(m, tuple(fs))
+        yield b, m, fs
 
 
 def reduced_forms(disc: int) -> list[IndefForm]:
@@ -111,18 +112,33 @@ def reduced_forms(disc: int) -> list[IndefForm]:
 
     b runs over its parity class up to isqrt(disc); for each b the product
     a*c = (b^2 - disc)/4 is negative, and |a| must be a divisor of its
-    absolute value inside the window ((sqrt(disc)-b)/2, (sqrt(disc)+b)/2).
-    Both signs of a occur. Imprimitive forms (g = gcd(a,b,c) > 1, which
-    exist only when g^2 divides disc) belong to disc/g^2 and are skipped.
-    The values (disc - b^2)/4 are factored by one sieve for all b.
+    absolute value m inside the window ((sqrt(disc)-b)/2, (sqrt(disc)+b)/2).
+    The window's ends multiply to m, so d is inside it exactly when m/d
+    is: the window divisors come in pairs (d, m/d), and only the divisors
+    d <= isqrt(m) are built, from the factor list of m that one sieve
+    gives for all b. Both signs of a occur. Imprimitive forms
+    (g = gcd(a,b,c) > 1, which exist only when g^2 divides disc) belong to
+    disc/g^2 and are skipped.
     """
     s = _check_disc(disc)
     forms: list[IndefForm] = []
-    for b, fac in _factor_products(disc):
-        m = fac.n
+    for b, m, factors in _factor_products(disc):
         # 2d - b <= s and 2d + b >= s + 1, as bounds on d
         lo, hi = (s + 2 - b) // 2, (s + b) // 2
-        ds = [d for d in fac.divisors() if lo <= d <= hi and math.gcd(d, b, m // d) == 1]
+        r = math.isqrt(m)
+        small = [1]  # the divisors of m up to r, built prime power by prime power
+        for p, e in factors:
+            block, q = [], 1
+            for _ in range(e):
+                q *= p
+                if q > r:
+                    break
+                cap = r // q
+                block += [d * q for d in small if d <= cap]
+            small += block
+        ds = [d for d in small if d >= lo and m // d <= hi and math.gcd(d, b, m // d) == 1]
+        ds += [m // d for d in ds if d * d != m]
+        ds.sort()
         # ordered by (b, a): negative a first
         forms += [IndefForm(-d, b, m // d) for d in reversed(ds)]
         forms += [IndefForm(d, b, -(m // d)) for d in ds]

@@ -292,8 +292,8 @@ def artin_summary_lines(stats: dict) -> list[str]:
 def check_form_work(lo: int, hi: int) -> None:
     """Refuse the discriminants lo..hi when (hi - lo + 1) * isqrt(hi), a
     bound on the (disc, b) pairs reduced_forms sieves, exceeds MAX_ITEMS.
-    Each pair costs a few sieve steps and its divisor scan, so the cap
-    bounds the time as well as the count."""
+    Each pair costs a few sieve steps and the pairing of its window
+    divisors, so the cap bounds the time as well as the count."""
     if (hi - lo + 1) * math.isqrt(max(hi, 0)) > MAX_ITEMS:
         raise UsageError(f"discriminants {lo}..{hi} need more than {MAX_ITEMS} (disc, b) pairs")
 

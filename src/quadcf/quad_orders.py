@@ -204,16 +204,16 @@ def _unit_from_period(xD: Surd, t: int, nrm: int, z: Surd) -> tuple[AlgInt, int]
     If M is the product of the digit matrices [[a,1],[1,0]] over one
     period of the purely periodic tail y, then y is fixed by M as a Mobius
     map and eps = M21*y + M22 is the fundamental automorph; its norm is
-    det M = (-1)^period_length.
+    det M = (-1)^period_length. Only M's bottom row (c, d) is carried.
     """
     digits, i, (P, Q) = _state_walk(z)
     period = digits[i:]
     vy, uy, wy = mobius_coeffs(xD, Surd(P, Q, z.D))
-    M = Mat2.identity()
+    c, d = 0, 1
     for a in period:
-        M = M * Mat2(a, 1, 1, 0)
-    a_num = M.c * uy + M.d * wy
-    b_num = M.c * vy
+        c, d = c * a + d, c
+    a_num = c * uy + d * wy
+    b_num = c * vy
     if a_num % wy or b_num % wy:
         raise InvariantError("automorph has non-integral coordinates")
     eps = AlgInt(a_num // wy, b_num // wy)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quadcf import arith
 from quadcf.arith import (
     Factorization,
     InvariantError,
@@ -132,6 +133,26 @@ def test_factorize_rejects_nonpositive():
     for n in (0, -4):
         with pytest.raises(ValueError):
             factorize(n)
+
+
+def test_factorize_budget_counts_every_pollard_run(monkeypatch):
+    # three primes above the trial bound: two Pollard runs, of 254 and 510 steps
+    n = 1000003 * 1000033 * 1000037
+    real, runs = arith._pollard_brent, []
+
+    def counting(m, rng, budget):
+        g, steps = real(m, rng, budget)
+        runs.append(steps)
+        return g, steps
+
+    monkeypatch.setattr(arith, "_pollard_brent", counting)
+    monkeypatch.setattr(arith, "_BRENT_BUDGET", 764)
+    assert factorize(n).factors == ((1000003, 1), (1000033, 1), (1000037, 1))
+    assert runs == [254, 510]
+    # enough for each run alone, not for both
+    monkeypatch.setattr(arith, "_BRENT_BUDGET", 763)
+    with pytest.raises(ValueError, match=f"cannot factor {n} within 763 "):
+        factorize(n)
 
 
 def test_factorization_is_hashable_record():

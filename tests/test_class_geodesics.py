@@ -225,10 +225,11 @@ SIEVE_DISCS = [105, 1365, 4004, 4 * 10007, 4 * 30030, 69300, 10**6 + 1]
 def test_sieve_factorizations_match_factorize():
     for disc in SIEVE_DISCS:
         got = list(_factor_products(disc))
-        bs = [b for b, _ in got]
+        bs = [b for b, _, _ in got]
         assert bs == list(range(2 - disc % 2, math.isqrt(disc) + 1, 2)), disc
-        for b, fac in got:
-            assert fac == factorize((disc - b * b) // 4), (disc, b)
+        for b, m, factors in got:
+            assert m == (disc - b * b) // 4, (disc, b)
+            assert tuple(factors) == factorize(m).factors, (disc, b)
 
 
 def test_sieve_factorizations_match_factorize_at_1e10():
@@ -236,11 +237,18 @@ def test_sieve_factorizations_match_factorize_at_1e10():
     got = list(_factor_products(disc))
     assert len(got) == 50_000
     sample = got[::97] + got[-3:]
-    for b, fac in sample:
-        assert fac == factorize((disc - b * b) // 4), b
+    for b, m, factors in sample:
+        assert m == (disc - b * b) // 4, b
+        assert tuple(factors) == factorize(m).factors, b
     # the sample reaches values with a square factor and with a large prime left over
-    assert any(not fac.is_squarefree() for _, fac in sample)
-    assert any(fac.primes[-1] > math.isqrt(got[0][1].n) for _, fac in sample)
+    assert any(e > 1 for _, _, factors in sample for _, e in factors)
+    assert any(factors[-1][0] > math.isqrt(got[0][1]) for _, _, factors in sample)
+
+
+def test_reduced_forms_match_per_b_factorize_enumeration_on_sieve_discs():
+    # square factors, 0 mod 4, imprimitive forms, and b = isqrt(disc)
+    for disc in SIEVE_DISCS:
+        assert reduced_forms(disc) == reduced_forms_by_factorize(disc), disc
 
 
 def test_reduced_forms_do_not_factor_per_b(monkeypatch):

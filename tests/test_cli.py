@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -224,6 +225,26 @@ def test_refusals_name_their_limit(capsys):
         assert limit in capsys.readouterr().err, argv
 
 
+def test_factoring_budget_refuses_fast(capsys):
+    # sqrt(10**160 - 1) has period length 2, so no walk budget stops it:
+    # factoring the 160-digit radicand is refused by the Pollard rho budget
+    radicand = str(10**160 - 1)
+    for argv in (["unit", "--d", radicand], ["artin", "--d", radicand, "--bound", "3"],
+                 ["converge", "--d", radicand, "--bound", "3"]):
+        start = time.perf_counter()
+        assert run(argv) == 2, argv
+        assert time.perf_counter() - start < 10, argv
+        cap = capsys.readouterr()
+        assert cap.out == "", argv
+        assert f"cannot factor {radicand} within" in cap.err, argv
+        assert "Traceback" not in cap.err, argv
+    # 106 490 Pollard rho steps, well inside the budget: the line from before it
+    assert run(["unit", "--d", str(10**60 + 1)]) == 0
+    assert capsys.readouterr().out == (
+        f"D={10**60 + 1} eps=({10**30 - 1},2) value=2e+30 norm=-1 regulator=69.77069997038132\n"
+    )
+
+
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     cfgfile = tmp_path / "scan.cfg"
     cfgfile.write_text("no_such_key = 1\n")
@@ -288,6 +309,11 @@ PINNED_TABLES = {
         "281f63b903398037417fd158cd364a0d486865c5689e35cef14698f50aef2463",
     "duke --min 5 --max 300 --fundamental-only --format json":
         "5f6e3638f98aee806b664202b55b05809865ad1003db2bef4952baec11f41191",
+    # every discriminant: f > 1 orders, imprimitive forms, regD * unit_group_index
+    "duke --min 5 --max 300":
+        "5ca7fed70d270a94ade731a577475fff3d39561c2cb2b416b3f0e1252ae4bcaa",
+    "duke --min 5 --max 300 --format json":
+        "c030efdde25194459499fbaa89d5660ef4036be2bdc8c6c4c94425f0f496b749",
     # N = 2 has period (1, 4): the 5-digit pattern spans three copies
     "converge --bound 200 --sequence integers --patterns 1;2;1,1;1,4,1,4,1":
         "06f254a3111297f821759b1e49cf99388baae6d02d9cbb7ef8741aa3ff124271",

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from quadcf import quad_orders
+from quadcf.arith import InvariantError
 from quadcf.quad_orders import (
     AlgInt,
     Mat2,
@@ -268,3 +270,19 @@ def test_unit_from_period_rejects_foreign_surd():
     f = field_data(5)
     with pytest.raises(ValueError):
         _unit_from_period(f.xD, f.t, f.nrm, periodic_tail(make_surd(0, 1, 2, 1)))
+
+
+@pytest.mark.parametrize("bump, message", [(1, "non-integral coordinates"), (2, "norm disagrees")])
+def test_unit_from_period_keeps_its_witnesses(monkeypatch, bump, message):
+    # sqrt(3) = [1; 1, 2] has the tail y = (1 + sqrt(3))/2. A last digit one
+    # too large makes M21 odd, so M21*y + M22 leaves the lattice; two too
+    # large keeps M21 even, and the "unit" 3 + 2*sqrt(3) has norm -3
+    real = quad_orders._state_walk
+
+    def wrong_digit(x):
+        digits, i, state = real(x)
+        return digits[:-1] + [digits[-1] + bump], i, state
+
+    monkeypatch.setattr(quad_orders, "_state_walk", wrong_digit)
+    with pytest.raises(InvariantError, match=message):
+        field_data(3)
