@@ -19,7 +19,6 @@ from .gauss_kuzmin import Cylinder, GaussMeasure, Pattern, c_w, cylinder, patter
 from .quad_orders import (
     AlgInt,
     FieldData,
-    Mat2,
     OrderSpec,
     R_of,
     alg_pow,
@@ -30,7 +29,7 @@ from .quad_orders import (
     regulator_of_order,
     unit_group_index,
 )
-from .matrix_orders import OrderRecord, mat_order_mod
+from .matrix_orders import Mat2, OrderRecord, mat_order_mod
 from .hecke import (
     HeckeChain,
     are_neighbors,

@@ -133,10 +133,13 @@ def _pollard_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
 
 
 _TRIAL_BOUND = 10_000
-# Brent steps one factorize call may take over all its Pollard rho runs
-# before it refuses n. The most measured in use is 131 070, for `unit
+# Cost one factorize call may spend over all its Pollard rho runs before it
+# refuses n. A run on a cofactor m costs its Brent steps times the 64-bit
+# words of m, ceil(bits(m)/64), since a step's products grow with m; below
+# 2**64 a step costs 1. The most measured in use is 131 070, for `unit
 # --conductor` at balanced 18-digit semiprimes; `unit --d 10**60+1` takes
-# 106 490 and the tests and benchmark tables at most 32 766.
+# 106 490 steps on cofactors of 139 to 187 bits, a cost of 319 470, and the
+# tests and benchmark tables at most 32 766 steps.
 _BRENT_BUDGET = 2**20
 
 
@@ -157,18 +160,6 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    def divisors(self) -> list[int]:
-        """All positive divisors of n, ascending."""
-        divs = [1]
-        for p, e in self.factors:
-            pk = 1
-            block = []
-            for _ in range(e):
-                pk *= p
-                block += [d * pk for d in divs]
-            divs += block
-        return sorted(divs)
-
     def squarefree_kernel(self) -> tuple[int, int]:
         """(s, k) with n = k*k*s and s squarefree."""
         s = k = 1
@@ -183,8 +174,8 @@ def factorize(n: int) -> Factorization:
     """Full factorization: trial division to 10**4, then Pollard rho (Brent)
     on whatever is left, recursing until all cofactors are proven prime. A
     cofactor left once trial division passes its square root is prime
-    without a test. ValueError when the Pollard runs would take more than
-    _BRENT_BUDGET steps in all."""
+    without a test. ValueError when the Pollard runs would cost more than
+    _BRENT_BUDGET in all, each step weighted by its cofactor's 64-bit words."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     m = n
@@ -214,10 +205,12 @@ def factorize(n: int) -> Factorization:
             r = math.isqrt(m)
             stack.extend((r, r))
             continue
-        g, steps = _pollard_brent(m, random.Random(m), budget)
+        words = -(-m.bit_length() // 64)
+        g, steps = _pollard_brent(m, random.Random(m), budget // words)
         if g == 1:
-            raise ValueError(f"cannot factor {n} within {_BRENT_BUDGET} Pollard rho steps")
-        budget -= steps
+            raise ValueError(f"cannot factor {n} within {_BRENT_BUDGET} Pollard rho steps, "
+                             "each counted once per 64-bit word of its number")
+        budget -= steps * words
         stack.extend((g, m // g))
     fac = Factorization(n, tuple(sorted(counts.items())))
     check = 1

@@ -1,8 +1,9 @@
 """Desk-scale scan experiments: pattern-frequency deviations along N*x for
 N in an arithmetic sequence, matrix-order censuses, and form-cycle length
-tables. Everything is deterministic; converge and artin run through one
-item runner that may spread the items over worker processes, and the
-merged output is byte-identical regardless of worker count.
+tables. Everything is deterministic; converge, artin and duke run through
+one item runner, which may spread converge's and artin's items over worker
+processes (duke runs in one), and the merged output is byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class ScanConfig:
     workers: int = 1
 
 
-def validate_config(cfg: ScanConfig, need_patterns: bool = True) -> None:
+def validate_config(cfg: ScanConfig) -> None:
     if cfg.sequence not in ("integers", "primes"):
         raise UsageError(f"unknown sequence {cfg.sequence!r}")
     if cfg.bound < 2:
@@ -68,12 +69,6 @@ def validate_config(cfg: ScanConfig, need_patterns: bool = True) -> None:
         raise UsageError(f"bound must be <= {MAX_ITEMS}")
     if cfg.workers < 1:
         raise UsageError("workers must be >= 1")
-    if need_patterns:
-        if not cfg.patterns:
-            raise UsageError("need at least one pattern")
-        for w in cfg.patterns:
-            if not w or any(a < 1 for a in w):
-                raise UsageError(f"bad pattern {w}")
 
 
 def sequence_values(cfg: ScanConfig) -> list[int]:
@@ -87,7 +82,7 @@ def sequence_values(cfg: ScanConfig) -> list[int]:
 
 # ---- item runner ----
 
-def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
+def run_items(kernel, ctx, ns: list[int], workers: int, label: str = "N") -> list:
     """The rows kernel(ctx, n) returns for each n, concatenated in the order
     of ns.
 
@@ -102,16 +97,17 @@ def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
 
     Each chunk stops at its first failing item, and the exception raised
     is that of the first failing n in the order of ns, as with one worker.
+    An InvariantError's message is prefixed with f"{label}={n}: ".
     """
     procs = min(workers, os.cpu_count() or 1, len(ns))
     if procs <= 1:
-        k, parts = 1, [_item_rows(kernel, ctx, ns)]
+        k, parts = 1, [_item_rows(kernel, ctx, label, ns)]
     else:
         from multiprocessing import Pool
 
         k = min(4 * procs, len(ns))
         with Pool(procs) as pool:
-            parts = pool.map(functools.partial(_item_rows, kernel, ctx),
+            parts = pool.map(functools.partial(_item_rows, kernel, ctx, label),
                              [ns[i::k] for i in range(k)])
     # chunk i holds ns[i::k], so its j-th item is ns[i + j*k]
     failures = [(i + f[0] * k, f[1]) for i, (_, f) in enumerate(parts) if f]
@@ -123,7 +119,8 @@ def run_items(kernel, ctx, ns: list[int], workers: int) -> list:
     return [row for rows in per_item for row in rows]
 
 
-def _item_rows(kernel, ctx, ns: list[int]) -> tuple[list[list], tuple[int, Exception] | None]:
+def _item_rows(kernel, ctx, label: str,
+               ns: list[int]) -> tuple[list[list], tuple[int, Exception] | None]:
     """The rows of each n up to the first that raises, and that n's index
     in ns with its exception (None when every n succeeds)."""
     out = []
@@ -132,7 +129,7 @@ def _item_rows(kernel, ctx, ns: list[int]) -> tuple[list[list], tuple[int, Excep
             try:
                 out.append(kernel(ctx, n))
             except InvariantError as e:
-                raise InvariantError(f"N={n}: {e}") from e
+                raise InvariantError(f"{label}={n}: {e}") from e
         except Exception as e:
             return out, (j, e)
     return out, None
@@ -190,6 +187,11 @@ def _converge_item(ctx, n: int) -> list[DeviationRow]:
 
 def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     validate_config(cfg)
+    if not cfg.patterns:
+        raise UsageError("need at least one pattern")
+    for w in cfg.patterns:
+        if not w or any(a < 1 for a in w):
+            raise UsageError(f"bad pattern {w}")
     base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
     cf_expand(base)  # the bounded walk refuses a radicand too large before it is factored
     # surd_coords factors the radicand: its m is squarefree, so it is not factored again
@@ -253,7 +255,7 @@ def _artin_item(ctx, n: int) -> list[OrderRecord]:
 
 
 def artin_scan(cfg: ScanConfig) -> list[OrderRecord]:
-    validate_config(cfg, need_patterns=False)
+    validate_config(cfg)
     fdata = field_data(cfg.d)
     ctx = (fdata, phi(fdata, fdata.epsD))
     return run_items(_artin_item, ctx, sequence_values(cfg), cfg.workers)
@@ -318,14 +320,12 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     return out
 
 
+def _duke_item(ctx, disc: int) -> list[TotalLength]:
+    return [total_length(disc)]
+
+
 def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[TotalLength]:
-    rows = []
-    for disc in duke_discs(dmin, dmax, fundamental_only):
-        try:
-            rows.append(total_length(disc))
-        except InvariantError as e:
-            raise InvariantError(f"disc={disc}: {e}") from e
-    return rows
+    return run_items(_duke_item, None, duke_discs(dmin, dmax, fundamental_only), 1, "disc")
 
 
 def duke_stats(rows: list[TotalLength]) -> dict:

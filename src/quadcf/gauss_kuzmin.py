@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surd import CFExpansion
+from .surd import CFExpansion, convergents
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,7 @@ class Cylinder:
 def cylinder(w) -> Cylinder:
     """Endpoints are the last convergent p_k/q_k of [0; w] and the mediant
     (p_k + p_{k-1})/(q_k + q_{k-1}), sorted."""
-    digits = _as_digits(w)
-    pm1, qm1 = 0, 1  # convergents of [0; w1, w2, ...]
-    pm2, qm2 = 1, 0
-    for a in digits:
-        pm1, pm2 = a * pm1 + pm2, pm1
-        qm1, qm2 = a * qm1 + qm2, qm1
+    *_, (pm2, qm2), (pm1, qm1) = convergents((0, *_as_digits(w)))
     end = Fraction(pm1, qm1)
     mediant = Fraction(pm1 + pm2, qm1 + qm2)
     return Cylinder(min(end, mediant), max(end, mediant))

@@ -17,6 +17,11 @@ process on (M, p, e); the lcm is then checked as a witness mod N itself.
 Every power M^k mod n comes from the pair (U_k, U_(k-1)) of the Lucas
 sequence of M's characteristic polynomial (Cayley-Hamilton), carried up
 the bits of k on two residues instead of four matrix entries.
+
+Mat2 lives here, with the code that powers it. quad_orders builds its
+matrices (phi) and strips the unit-group and +-I indices out of
+mat_order_mod's order with _least_exponent; this module imports nothing
+from quad_orders at run time.
 """
 
 from __future__ import annotations
@@ -24,14 +29,42 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .arith import InvariantError, factorize, is_prime, kronecker
-from .quad_orders import FieldData, Mat2
+
+if TYPE_CHECKING:  # annotations only: quad_orders imports this module
+    from .quad_orders import FieldData
 
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
 COMPOSITE = "composite"
+
+
+@dataclass(frozen=True)
+class Mat2:
+    """Integer 2x2 matrix [[a, b], [c, d]]."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    @property
+    def det(self) -> int:
+        return self.a * self.d - self.b * self.c
+
+    @property
+    def trace(self) -> int:
+        return self.a + self.d
+
+    def is_scalar_mod(self, n: int) -> bool:
+        return (
+            self.b % n == 0
+            and self.c % n == 0
+            and (self.a - self.d) % n == 0
+        )
 
 
 def _mat_pow_mod(M: Mat2, k: int, n: int) -> Mat2:

@@ -15,6 +15,8 @@ Two different power indices of the fundamental unit appear mod N:
       have c = +-1 (Fibonacci matrix mod 5 hits 3*I at k = 5).
 
 Regulators use unit_group_index; R_of is kept as the coarser +-I variant.
+Both are stripped out of the matrix order of phi(epsD) mod N, which
+matrix_orders computes; Mat2 is defined there.
 """
 
 from __future__ import annotations
@@ -24,47 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import InvariantError, factorize, is_square
+from .matrix_orders import Mat2, _least_exponent, mat_order_mod
 from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """Integer 2x2 matrix [[a, b], [c, d]]."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __mul__(self, o: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
-
-    def mod(self, n: int) -> "Mat2":
-        return Mat2(self.a % n, self.b % n, self.c % n, self.d % n)
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def trace(self) -> int:
-        return self.a + self.d
-
-    def is_scalar_mod(self, n: int) -> bool:
-        return (
-            self.b % n == 0
-            and self.c % n == 0
-            and (self.a - self.d) % n == 0
-        )
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -258,8 +221,6 @@ def _least_unit_power(f: FieldData, N: int, accept) -> int:
         raise ValueError("N must be >= 1")
     if N == 1:
         return 1
-    from .matrix_orders import _least_exponent, mat_order_mod
-
     M = phi(f, f.epsD)
     o = mat_order_mod(M, N)
     return _least_exponent(M, N, o, factorize(o).primes, accept)

@@ -167,9 +167,11 @@ class CFExpansion:
         return len(self.period)
 
 
-# Most digits one expansion may take before its period closes. A period can
-# be about sqrt(D) long; the longest a scan within its bound needs, N*sqrt(2)
-# at N = 999983, has 742793.
+# Most digits one expansion may take before its period closes, for a
+# radicand of at most 127 bits. A period can be about sqrt(D) long; the
+# longest a scan within its bound needs, N*sqrt(2) at N = 999983 (a 41-bit
+# D), has 742793. A step's cost grows with the size of D, so a radicand of
+# 64k bits and up may take MAX_WALK_STEPS // k digits.
 MAX_WALK_STEPS = 10**6
 
 
@@ -183,20 +185,24 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     then is one digit away from sqrt(D)'s period, whose palindrome
     _root_period walks only half of; sqrt(D) itself, and so every N*sqrt(d),
     takes that path at its first step.
-    An expansion longer than MAX_WALK_STEPS digits, mirrored ones included,
-    raises ValueError."""
+    An expansion longer than its limit, MAX_WALK_STEPS // max(1, bits(D)//64)
+    digits with mirrored ones included, raises ValueError naming it."""
     P, Q, D = x.P, x.Q, x.D
     s = math.isqrt(D)
+    limit = MAX_WALK_STEPS // max(1, D.bit_length() // 64)
     digits: list[int] = []
     start, P0, Q0 = -1, 0, 0  # Q is never 0, so no state matches until set
-    for _ in range(MAX_WALK_STEPS):
+    for _ in range(limit):
         if start < 0:
             if _reduced(P, Q, s):
                 start, P0, Q0 = len(digits), P, Q
             elif Q == 1:  # P + sqrt(D) with P != s; next comes (s, D - s*s)
                 digits.append(P + s)
                 start = len(digits)
-                digits += _root_period(D, s, MAX_WALK_STEPS - start)
+                period = _root_period(D, s, limit - start)
+                if period is None:
+                    break
+                digits += period
                 return digits, start, (s, D - s * s)
         a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
         digits.append(a)
@@ -207,12 +213,12 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
         Q = n // Q
         if Q == Q0 and P == P0:
             return digits, start, (P, Q)
-    raise ValueError(f"continued fraction period not closed within {MAX_WALK_STEPS} digits")
+    raise ValueError(f"continued fraction period not closed within {limit} digits")
 
 
-def _root_period(D: int, s: int, limit: int) -> list[int]:
+def _root_period(D: int, s: int, limit: int) -> list[int] | None:
     """The period a1 ... a_{L-1}, 2s of sqrt(D), s = isqrt(D), walking only
-    its first half; ValueError when L > limit.
+    its first half; None when L > limit.
 
     The period is a palindrome before its last digit, and so are its
     states: from (P1, Q1) = (s, D - s*s), the k-th step of the walk returns
@@ -242,10 +248,8 @@ def _root_period(D: int, s: int, limit: int) -> list[int]:
         else:
             P, Q = Pn, Qn
             continue
-        if len(period) <= limit:
-            return period
-        break
-    raise ValueError(f"continued fraction period not closed within {MAX_WALK_STEPS} digits")
+        return period if len(period) <= limit else None
+    return None
 
 
 def cf_expand(x: Surd) -> CFExpansion:

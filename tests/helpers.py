@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from quadcf.arith import factorize
 from quadcf.class_geodesics import IndefForm
-from quadcf.quad_orders import Mat2
+from quadcf.matrix_orders import Mat2
 from quadcf.surd import Surd, make_surd
 
 
@@ -62,6 +62,19 @@ def trial_factor(n: int) -> dict[int, int]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending, built from factorize(n)."""
+    divs = [1]
+    for p, e in factorize(n):
+        pk = 1
+        block = []
+        for _ in range(e):
+            pk *= p
+            block += [d * pk for d in divs]
+        divs += block
+    return sorted(divs)
+
+
 def reduced_forms_by_factorize(disc: int) -> list[IndefForm]:
     """The reduced forms of disc enumerated with one factorize call per b:
     for each b the divisors of (disc - b^2)/4 inside the reduced window,
@@ -70,7 +83,7 @@ def reduced_forms_by_factorize(disc: int) -> list[IndefForm]:
     forms = []
     for b in range(2 - disc % 2, s + 1, 2):
         m = (disc - b * b) // 4
-        for d in factorize(m).divisors():
+        for d in divisors(m):
             if 2 * d - b <= s and 2 * d + b >= s + 1 and math.gcd(d, b, m // d) == 1:
                 forms.append(IndefForm(d, b, -(m // d)))
                 forms.append(IndefForm(-d, b, m // d))
@@ -118,11 +131,26 @@ def dict_state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     return digits, seen[(P, Q)], (P, Q)
 
 
+def mat_mul(A: Mat2, B: Mat2) -> Mat2:
+    """The integer matrix product A*B."""
+    return Mat2(
+        A.a * B.a + A.b * B.c,
+        A.a * B.b + A.b * B.d,
+        A.c * B.a + A.d * B.c,
+        A.c * B.b + A.d * B.d,
+    )
+
+
+def mat_mod(M: Mat2, n: int) -> Mat2:
+    """M with every entry reduced mod n."""
+    return Mat2(M.a % n, M.b % n, M.c % n, M.d % n)
+
+
 def repeated_mat_product(M: Mat2, k: int, n: int) -> Mat2:
     """M^k mod n as k successive Mat2 products, each reduced mod n."""
-    R = Mat2.identity().mod(n)
+    R = mat_mod(Mat2(1, 0, 0, 1), n)
     for _ in range(k):
-        R = (R * M).mod(n)
+        R = mat_mod(mat_mul(R, M), n)
     return R
 
 

@@ -14,7 +14,7 @@ from quadcf.arith import (
     primes_up_to,
     sqrt_mod,
 )
-from helpers import jacobi, sieve_primes, trial_factor
+from helpers import divisors, jacobi, sieve_primes, trial_factor
 
 
 def test_is_square():
@@ -105,10 +105,10 @@ def test_factorize_large_semiprimes():
 
 
 def test_divisors():
-    assert factorize(1).divisors() == [1]
-    assert factorize(12).divisors() == [1, 2, 3, 4, 6, 12]
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
     for n in (2, 7, 36, 360, 720, 1024):
-        divs = factorize(n).divisors()
+        divs = divisors(n)
         assert divs == sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
@@ -152,6 +152,28 @@ def test_factorize_budget_counts_every_pollard_run(monkeypatch):
     # enough for each run alone, not for both
     monkeypatch.setattr(arith, "_BRENT_BUDGET", 763)
     with pytest.raises(ValueError, match=f"cannot factor {n} within 763 "):
+        factorize(n)
+
+
+def test_factorize_budget_charges_each_step_per_64_bit_word(monkeypatch):
+    # four primes above the trial bound: Pollard runs on an 80-bit cofactor
+    # (two words a step), then on 60 and 40 bits (one word)
+    n = 1000003 * 1000033 * 1000037 * 1000039
+    real, runs = arith._pollard_brent, []
+
+    def counting(m, rng, budget):
+        g, steps = real(m, rng, budget)
+        runs.append((m.bit_length(), budget, steps))
+        return g, steps
+
+    monkeypatch.setattr(arith, "_pollard_brent", counting)
+    cost = 1022 * 2 + 2046 + 2046
+    monkeypatch.setattr(arith, "_BRENT_BUDGET", cost)
+    assert factorize(n).factors == ((1000003, 1), (1000033, 1), (1000037, 1), (1000039, 1))
+    # each run may take what is left, in its own words' steps
+    assert runs == [(80, cost // 2, 1022), (60, cost - 2044, 2046), (40, 2046, 2046)]
+    monkeypatch.setattr(arith, "_BRENT_BUDGET", cost - 1)
+    with pytest.raises(ValueError, match=f"cannot factor {n} within {cost - 1} "):
         factorize(n)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import time
 
@@ -243,6 +244,28 @@ def test_factoring_budget_refuses_fast(capsys):
     assert capsys.readouterr().out == (
         f"D={10**60 + 1} eps=({10**30 - 1},2) value=2e+30 norm=-1 regulator=69.77069997038132\n"
     )
+
+
+def test_budgets_count_cost_so_large_inputs_are_refused_fast(capsys):
+    # a step's cost grows with the size of the number walked or factored,
+    # and so does what each budget charges for it
+    radicand = random.Random(4000).randrange(10**3999, 10**4000)
+    walk_limit = 10**6 // (radicand.bit_length() // 64)
+    for argv, seconds, message in [
+        (["expand", "--d", str(radicand)], 2, f"not closed within {walk_limit} digits"),
+        (["unit", "--d", str(10**500 + 1)], 3, f"cannot factor {10**500 + 1} within"),
+        (["unit", "--d", str(10**1000 + 1)], 5, f"cannot factor {10**1000 + 1} within"),
+    ]:
+        start = time.perf_counter()
+        assert run(argv) == 2, argv[:2]
+        assert time.perf_counter() - start < seconds, argv[:2]
+        cap = capsys.readouterr()
+        assert cap.out == "", argv[:2]
+        assert message in cap.err, argv[:2]
+    # the longest walk a scan within its bound needs, N*sqrt(2) at N = 999983:
+    # a 41-bit radicand keeps the whole 10**6-digit limit
+    assert run(["expand", "--d", str(2 * 999983**2)]) == 0
+    assert "period_length: 742792\n" in capsys.readouterr().out
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):

@@ -59,14 +59,19 @@ def test_validate_config_errors():
         ScanConfig(sequence="odds"),
         ScanConfig(bound=1),
         ScanConfig(workers=0),
+    ]:
+        with pytest.raises(UsageError):
+            validate_config(bad)
+    # the pattern checks belong to converge, the one scan with patterns
+    for bad in [
         ScanConfig(patterns=()),
         ScanConfig(patterns=((),)),
         ScanConfig(patterns=((0,),)),
     ]:
         with pytest.raises(UsageError):
-            validate_config(bad)
-    # pattern checks can be waived for pattern-free scans
-    validate_config(ScanConfig(patterns=()), need_patterns=False)
+            converge_scan(bad)
+    validate_config(ScanConfig(patterns=()))
+    assert len(artin_scan(ScanConfig(patterns=(), bound=10))) == 9
     validate_config(ScanConfig(bound=MAX_ITEMS))
     with pytest.raises(UsageError, match=str(MAX_ITEMS)):
         validate_config(ScanConfig(bound=MAX_ITEMS + 1))
@@ -286,6 +291,22 @@ def test_duke_discs():
     with pytest.raises(UsageError, match=str(MAX_ITEMS)):
         duke_discs(5, 10**18, False)  # refused before the walk starts
     assert duke_discs(-10**18, 8, False) == [5, 8]  # the window starts at 5
+
+
+def test_duke_scan_hands_its_discriminants_to_the_runner(monkeypatch):
+    calls = []
+
+    def recording(kernel, ctx, ns, workers, label="N"):
+        calls.append((ns, workers, label))
+        return [row for n in ns for row in kernel(ctx, n)]
+
+    monkeypatch.setattr(experiments, "run_items", recording)
+    for dmin, dmax, fundamental_only in ((5, 60, False), (5, 60, True), (100, 130, False)):
+        calls.clear()
+        rows = duke_scan(dmin, dmax, fundamental_only)
+        discs = duke_discs(dmin, dmax, fundamental_only)
+        assert calls == [(discs, 1, "disc")]  # one process, failures named by disc
+        assert [r.disc for r in rows] == discs
 
 
 def test_duke_scan_rows():

@@ -25,7 +25,7 @@ from quadcf.quad_orders import (
     unit_group_index,
 )
 from quadcf.surd import make_surd, periodic_tail, scale
-from helpers import brute_pell, element_norm, frac_sqrt, random_surd
+from helpers import brute_pell, element_norm, frac_sqrt, mat_mod, mat_mul, random_surd
 
 SQUAREFREE_TO_60 = [
     m for m in range(2, 61)
@@ -107,7 +107,7 @@ def test_phi_frozen_and_homomorphic():
         f = field_data(rng.choice([5, 8, 12, 13]))
         u = AlgInt(rng.randint(-9, 9), rng.randint(-9, 9))
         v = AlgInt(rng.randint(-9, 9), rng.randint(-9, 9))
-        assert phi(f, alg_mul(f, u, v)) == phi(f, u) * phi(f, v)
+        assert phi(f, alg_mul(f, u, v)) == mat_mul(phi(f, u), phi(f, v))
         assert phi(f, u).det == element_norm(f, u)
         assert phi(f, u).trace == 2 * u.a + u.b * f.t
 
@@ -148,11 +148,11 @@ def brute_unit_index(f, n):
 def brute_sign_index(f, n):
     # oracle: multiply out powers of phi(epsD) until +-identity mod n
     M = phi(f, f.epsD)
-    targets = (Mat2.identity().mod(n), Mat2(-1, 0, 0, -1).mod(n))
+    targets = (mat_mod(Mat2(1, 0, 0, 1), n), mat_mod(Mat2(-1, 0, 0, -1), n))
     P = M
     k = 1
-    while P.mod(n) not in targets:
-        P = P * M
+    while mat_mod(P, n) not in targets:
+        P = mat_mul(P, M)
         k += 1
     return k
 

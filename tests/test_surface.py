@@ -87,3 +87,60 @@ def test_every_public_definition_runs_outside_the_tests():
             ):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"only tests use: {', '.join(unused)}"
+
+
+def _package_imports(node) -> list[str]:
+    """The quadcf modules an import statement names, as module stems."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0 and node.module.partition(".")[0] != "quadcf":
+            return []
+        if node.module in (None, "quadcf"):
+            return [alias.name for alias in node.names]
+        return [node.module.rpartition(".")[2]]
+    if isinstance(node, ast.Import):
+        return [alias.name.rpartition(".")[2] for alias in node.names
+                if alias.name.partition(".")[0] == "quadcf"]
+    return []
+
+
+def test_no_function_imports_a_package_module():
+    # a call-time import hides a dependency; multiprocessing in run_items is fine
+    late = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if _package_imports(node):
+                        late.append(f"{path.stem}.{fn.name} line {node.lineno}")
+    assert not late, f"imports inside a function: {', '.join(late)}"
+
+
+def test_run_time_imports_have_no_cycle():
+    # module-level imports, less those under `if TYPE_CHECKING:` (annotations only)
+    def run_time(stmts):
+        for node in stmts:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                yield from run_time(node.orelse)
+            elif isinstance(node, (ast.If, ast.Try)):
+                yield from run_time(node.body)
+                yield from run_time(node.orelse)
+            else:
+                yield from _package_imports(node)
+
+    deps = {
+        path.stem: set(run_time(ast.parse(path.read_text(), str(path)).body))
+        for path in SRC.glob("*.py")
+    }
+    assert "quad_orders" not in deps["matrix_orders"]
+    assert "matrix_orders" in deps["quad_orders"]
+    done: set[str] = set()
+
+    def visit(mod, stack):
+        assert mod not in stack, " -> ".join([*stack, mod])
+        if mod not in done:
+            for dep in deps.get(mod, ()):
+                visit(dep, [*stack, mod])
+            done.add(mod)
+
+    for mod in sorted(deps):
+        visit(mod, [])
