@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InvariantError(RuntimeError):
@@ -143,15 +143,11 @@ _TRIAL_BOUND = 10_000
 _BRENT_BUDGET = 2**20
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n = product of p**e over factors, p ascending."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
 
     @property
     def primes(self) -> tuple[int, ...]:

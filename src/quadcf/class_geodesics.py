@@ -17,7 +17,7 @@ import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import InvariantError, factorize, is_square, primes_up_to, sqrt_mod
 from .quad_orders import OrderSpec, field_data, regulator_of_order
@@ -201,8 +201,7 @@ def fundamental_decomposition(disc: int) -> tuple[int, int]:
     return 4 * s, k // 2
 
 
-@dataclass(frozen=True)
-class TotalLength:
+class TotalLength(NamedTuple):
     """h is h+, reg the wide R, total_length = h+ * R: Duke's h+ * R+ when
     N(eps) = +1, half of it when N(eps) = -1."""
 

@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 on success, 2 on bad usage or bad input values, 3 when an
-internal consistency check fails (a bug, not a user error).
+Exit codes: 0 on success, 2 on bad usage, bad input values or an early-closed
+stdout, 3 when an internal consistency check fails (a bug, not a user error).
 
 Scan commands accept ``--config FILE`` with flat ``key = value`` lines;
 explicit command line flags override file entries.
@@ -10,9 +10,9 @@ explicit command line flags override file entries.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import InvariantError
 from .class_geodesics import TotalLength, _cycles, _total_length
@@ -129,11 +129,10 @@ def cmd_expand(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _ScanCommand:
+class _ScanCommand(NamedTuple):
     """What one scan subcommand needs beyond the shared output settings:
     its config keys with their defaults, the scan from settings to rows,
-    the row dataclass whose fields are the table's columns, and how rows
+    the row named tuple whose fields are the table's columns, and how rows
     become a summary."""
 
     settings: dict
@@ -147,13 +146,13 @@ class _ScanCommand:
 # module's globals and sees a monkeypatched or wrapped binding.
 _SCANS = {
     "converge": _ScanCommand(
-        asdict(ScanConfig()),
+        ScanConfig()._asdict(),
         lambda st: converge_scan(ScanConfig(**st)),
         DeviationRow, converge_stats, converge_summary_lines,
     ),
     "artin": _ScanCommand(
-        dict(d=5, sequence="primes", bound=ScanConfig.bound,
-             coprime_filter=ScanConfig.coprime_filter, workers=ScanConfig.workers),
+        dict(d=5, sequence="primes",
+             **{k: ScanConfig._field_defaults[k] for k in ("bound", "coprime_filter", "workers")}),
         lambda st: artin_scan(ScanConfig(**st)),
         OrderRecord, artin_stats, artin_summary_lines,
     ),
@@ -300,12 +299,19 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone before the end is caught here, not at exit
+        return code
     except InvariantError as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # what stdout still buffers goes nowhere, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed early", file=sys.stderr)
         return 2
 
 

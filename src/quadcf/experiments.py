@@ -16,7 +16,7 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .arith import InvariantError, is_prime, primes_up_to
 from .class_geodesics import TotalLength, fundamental_decomposition, total_length
@@ -44,8 +44,7 @@ class UsageError(ValueError):
 MAX_ITEMS = 10**6
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     """Shared scan settings. The base surd is (p + r*sqrt(d))/q; for order
     censuses d alone names the field."""
 
@@ -137,8 +136,7 @@ def _item_rows(kernel, ctx, label: str,
 
 # ---- deviation scan (pattern frequencies along N*x) ----
 
-@dataclass(frozen=True)
-class DeviationRow:
+class DeviationRow(NamedTuple):
     N: int
     is_prime: bool
     period_length: int
@@ -367,24 +365,22 @@ def _fmt(v) -> str:
 
 def render_table(row_type: type, rows: list, fmt: str) -> str:
     """The rows as a CSV or JSON table whose columns are the fields of the
-    dataclass row_type, in declaration order."""
-    names = [f.name for f in fields(row_type)]
+    named tuple row_type, in declaration order."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
+        writer.writerow(row_type._fields)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name in names])
+            writer.writerow(map(_fmt, row))
         return buf.getvalue()
-    return json.dumps(
-        [{name: getattr(row, name) for name in names} for row in rows], indent=2, allow_nan=True
-    ) + "\n"
+    return json.dumps([row._asdict() for row in rows], indent=2, allow_nan=True) + "\n"
 
 
 def emit(text: str, path: str | None, default_stream=None) -> None:
     """Write text to path, or to default_stream (stdout) when path is empty."""
     if not path:
-        (default_stream or sys.stdout).write(text)
+        # line by line: one large write that a closing pipe cuts short may not raise
+        (default_stream or sys.stdout).writelines(text.splitlines(True))
         return
     try:
         with open(path, "w") as fh:

@@ -12,24 +12,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .surd import CFExpansion, convergents
 
 
-@dataclass(frozen=True)
-class Pattern:
-    digits: tuple[int, ...]
+class Pattern(namedtuple("Pattern", "digits")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.digits:
+    def __new__(cls, digits: tuple[int, ...]):
+        if not digits:
             raise ValueError("pattern must be nonempty")
-        if any(a < 1 for a in self.digits):
+        if any(a < 1 for a in digits):
             raise ValueError("pattern digits must be >= 1")
+        return tuple.__new__(cls, (digits,))
 
-    def __len__(self):
-        return len(self.digits)
+    # namedtuple's _make, which _replace calls too, would skip the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def label(self) -> str:
         return "-".join(str(a) for a in self.digits)
@@ -41,16 +42,17 @@ def _as_digits(w) -> tuple[int, ...]:
     return Pattern(tuple(w)).digits
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(namedtuple("Cylinder", "low high")):
     """Interval of x in [0,1] opening with the given digits."""
 
-    low: Fraction
-    high: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.low < self.high <= 1):
+    def __new__(cls, low: Fraction, high: Fraction):
+        if not (0 <= low < high <= 1):
             raise ValueError("cylinder endpoints out of order")
+        return tuple.__new__(cls, (low, high))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def cylinder(w) -> Cylinder:
@@ -62,8 +64,7 @@ def cylinder(w) -> Cylinder:
     return Cylinder(min(end, mediant), max(end, mediant))
 
 
-@dataclass(frozen=True)
-class GaussMeasure:
+class GaussMeasure(NamedTuple):
     """Exact value log2(ratio), ratio a rational in (1, 2]."""
 
     ratio: Fraction

@@ -8,7 +8,7 @@ its index there is |a|, with no coordinates and no factoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import InvariantError, factorize, is_prime
 from .quad_orders import (
@@ -47,23 +47,22 @@ def are_neighbors(x: Surd, y: Surd, p: int) -> bool:
     return _sublattice_index(x, y) == p or _sublattice_index(y, x) == p
 
 
-@dataclass(frozen=True)
-class HeckeChain:
+class HeckeChain(namedtuple("HeckeChain", "nodes steps")):
     """nodes[0] connected to nodes[-1] through one prime step at a time;
     steps[i] = (p, direction) relates nodes[i] to nodes[i+1]."""
 
-    nodes: tuple[Surd, ...]
-    steps: tuple[tuple[int, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.steps) + 1:
+    def __new__(cls, nodes: tuple[Surd, ...], steps: tuple[tuple[int, str], ...]):
+        if len(nodes) != len(steps) + 1:
             raise ValueError("need exactly one step between consecutive nodes")
+        return tuple.__new__(cls, (nodes, steps))
+
+    # namedtuple's _make, which _replace calls too, would skip the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def primes(self) -> list[int]:
         return sorted(p for p, _ in self.steps)
-
-    def __len__(self):
-        return len(self.steps)
 
 
 def _verify_chain(chain: HeckeChain) -> None:
@@ -123,7 +122,7 @@ def _prime_multiset(n: int) -> list[int]:
     if n == 1:
         return []
     out: list[int] = []
-    for p, e in factorize(n):
+    for p, e in factorize(n).factors:
         out.extend([p] * e)
     return out
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import InvariantError, factorize, is_prime, kronecker
 
@@ -42,8 +42,7 @@ RAMIFIED = "ramified"
 COMPOSITE = "composite"
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """Integer 2x2 matrix [[a, b], [c, d]]."""
 
     a: int
@@ -147,7 +146,7 @@ def mat_order_mod(M: Mat2, N: int) -> int:
     if N == 1:
         return 1
     o, primes = 1, set()
-    for p, e in factorize(N):
+    for p, e in factorize(N).factors:
         op, qs = _prime_power_order(M, p, e)
         o = math.lcm(o, op)
         primes.update(qs)
@@ -173,17 +172,18 @@ def max_element_order(f: FieldData, p: int) -> int:
     return p + 1 if f.unit_norm == 1 else 2 * (p + 1)
 
 
-@dataclass(frozen=True)
-class OrderRecord:
-    N: int
-    ord: int
-    exponent: float  # ln(ord)/ln(N)
-    split_type: str
-    is_max: bool | None  # odd unramified primes only, else None
+class OrderRecord(namedtuple("OrderRecord", "N ord exponent split_type is_max")):
+    """exponent = ln(ord)/ln(N); is_max for odd unramified primes, else None."""
 
-    def __post_init__(self):
-        if self.ord < 1:
+    __slots__ = ()
+
+    def __new__(cls, N: int, ord: int, exponent: float, split_type: str, is_max: bool | None):
+        if ord < 1:
             raise ValueError("order must be positive")
+        return tuple.__new__(cls, (N, ord, exponent, split_type, is_max))
+
+    # namedtuple's _make, which _replace calls too, would skip the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:

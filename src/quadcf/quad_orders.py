@@ -22,24 +22,23 @@ matrix_orders computes; Mat2 is defined there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import InvariantError, factorize, is_square
 from .matrix_orders import Mat2, _least_exponent, mat_order_mod
 from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
 
 
-@dataclass(frozen=True)
-class AlgInt:
+class AlgInt(NamedTuple):
     """a + b*xD with integer coordinates in the basis {1, xD}."""
 
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class FieldData:
+class FieldData(NamedTuple):
     """The maximal order of Q(sqrt(m)) with its fundamental unit.
 
     t and nrm are trace and norm of xD, so xD*xD = t*xD - nrm. epsD is the
@@ -56,16 +55,18 @@ class FieldData:
     unit_norm: int
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class OrderSpec(namedtuple("OrderSpec", "field f")):
     """The suborder Z[f*xD] of conductor f inside field.D's maximal order."""
 
-    field: FieldData
-    f: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.f < 1:
+    def __new__(cls, field: FieldData, f: int):
+        if f < 1:
             raise ValueError("conductor must be >= 1")
+        return tuple.__new__(cls, (field, f))
+
+    # namedtuple's _make, which _replace calls too, would skip the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def disc(self) -> int:

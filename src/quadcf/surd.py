@@ -10,26 +10,27 @@ integral forever, so expansions need no rational fallback and no floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .arith import InvariantError, is_square
 
 
-@dataclass(frozen=True)
-class Surd:
-    P: int
-    Q: int
-    D: int
+class Surd(namedtuple("Surd", "P Q D")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.D <= 0 or is_square(self.D):
-            raise ValueError(f"D must be positive and nonsquare, got {self.D}")
-        if self.Q == 0:
+    def __new__(cls, P: int, Q: int, D: int):
+        if D <= 0 or is_square(D):
+            raise ValueError(f"D must be positive and nonsquare, got {D}")
+        if Q == 0:
             raise ValueError("Q must be nonzero")
-        if (self.D - self.P * self.P) % self.Q != 0:
-            raise ValueError(f"Q={self.Q} does not divide D-P^2={self.D - self.P**2}")
+        if (D - P * P) % Q != 0:
+            raise ValueError(f"Q={Q} does not divide D-P^2={D - P**2}")
+        return tuple.__new__(cls, (P, Q, D))
+
+    # namedtuple's _make, which _replace calls too, would skip the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def conjugate(self) -> "Surd":
         """(P - sqrt(D))/Q, rewritten to keep +sqrt(D) in the numerator."""
@@ -136,20 +137,21 @@ def eval_approx(x: Surd, bits: int = 53) -> Fraction:
         shift *= 2
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(namedtuple("CFExpansion", "preperiod period")):
     """Continued-fraction digits: finite preperiod, then period repeating
     forever. The period is nonempty and of least length. Every digit after
     the first is >= 1; the first may be <= 0 for small or negative surds."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.period:
+    def __new__(cls, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        if not period:
             raise ValueError("period must be nonempty")
-        if min(self.preperiod[1:], default=1) < 1 or min(self.period) < 1:
+        if min(preperiod[1:], default=1) < 1 or min(period) < 1:
             raise ValueError("digits after the first must be >= 1")
+        return tuple.__new__(cls, (preperiod, period))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def digits(self, n: int) -> list[int]:
         """First n digits of the full (eventually periodic) digit stream."""

@@ -65,7 +65,7 @@ def trial_factor(n: int) -> dict[int, int]:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending, built from factorize(n)."""
     divs = [1]
-    for p, e in factorize(n):
+    for p, e in factorize(n).factors:
         pk = 1
         block = []
         for _ in range(e):

@@ -46,7 +46,7 @@ def test_factorize_small_range():
         f = factorize(n)
         prod = 1
         last = 1
-        for p, e in f:
+        for p, e in f.factors:
             assert is_prime(p) and e >= 1
             assert p > last  # ascending, distinct
             last = p
@@ -58,7 +58,7 @@ def test_factorize_matches_trial_division():
     rng = random.Random(2024)
     for _ in range(60):
         n = rng.randint(2, 10**9)
-        assert dict(iter(factorize(n))) == trial_factor(n)
+        assert dict(factorize(n).factors) == trial_factor(n)
 
 
 def test_factorize_matches_smallest_factor_table():
@@ -97,11 +97,11 @@ def test_factorize_around_the_trial_bound():
 
 def test_factorize_large_semiprimes():
     p, q = 10**9 + 7, 10**9 + 9
-    assert list(factorize(p * q)) == [(p, 1), (q, 1)]
-    assert list(factorize(p * p)) == [(p, 2)]
+    assert list(factorize(p * q).factors) == [(p, 1), (q, 1)]
+    assert list(factorize(p * p).factors) == [(p, 2)]
     # 64-bit products with repeated structure
     n = 2**4 * 3 * (10**9 + 7) ** 2
-    assert list(factorize(n)) == [(2, 4), (3, 1), (p, 2)]
+    assert list(factorize(n).factors) == [(2, 4), (3, 1), (p, 2)]
 
 
 def test_divisors():

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +25,17 @@ SEMIPRIME_RADICAND = "5859824980284060829895849672056204220491"
 # primes s^2 + 1 of 321 and 401 digits: period length 1, discriminant past the float range
 FLOAT_OVERFLOW_RADICANDS = [str((10**160 + 376) ** 2 + 1), str((10**200 + 50) ** 2 + 1)]
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run(argv):
     return cli.main(argv)
+
+
+def _cli_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_parse_patterns():
@@ -316,6 +327,32 @@ def test_exit_code_2_on_unwritable_output(argv, path, capsys):
     err = capsys.readouterr().err
     assert path in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--d", "2", "--convergents", "10000"],  # many prints
+    ["artin", "--d", "5", "--bound", "5000", "--sequence", "integers"],  # one table of 190 kB
+])
+def test_exit_code_2_when_stdout_closes_early(argv):
+    with subprocess.Popen([sys.executable, "-m", "quadcf.cli", *argv], env=_cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()  # the reader goes away while the output is far from written
+            err = proc.communicate(timeout=60)[1].decode()
+        finally:
+            proc.kill()
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err == "error: standard output closed early\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    code = "import sys, quadcf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 # sha256 of small tables, recorded before the scans shared one runner

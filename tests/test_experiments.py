@@ -4,9 +4,9 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -332,8 +332,7 @@ def test_duke_stats_handmade():
 
 
 def test_render_table_csv_and_json():
-    @dataclass(frozen=True)
-    class Row:  # declaration order, not name order, sets the columns
+    class Row(NamedTuple):  # declaration order, not name order, sets the columns
         b: object
         a: int
         c: object

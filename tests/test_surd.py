@@ -273,10 +273,7 @@ def test_walk_budget_is_exact_at_both_parities(monkeypatch, D, L):
 
 def test_both_walks_keep_the_lattice_witness():
     def unchecked(P, Q, D):
-        x = object.__new__(Surd)  # skips Surd's validation
-        for name, value in zip("PQD", (P, Q, D)):
-            object.__setattr__(x, name, value)
-        return x
+        return tuple.__new__(Surd, (P, Q, D))  # skips Surd's validation
 
     class Drifting(int):
         """A radicand whose subtraction is off by one after its first use."""

@@ -57,6 +57,19 @@ def test_library_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, (path.name, node.lineno, top)
 
 
+def test_no_module_imports_dataclasses():
+    # records are named tuples, one idiom, and cost no code generation at import
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, (path.name, node.lineno)
+
+
 def test_every_public_definition_runs_outside_the_tests():
     # a public def or class reached only from tests/ belongs in tests/helpers.py
     used: set[tuple[str, str]] = set()  # (module, name)
