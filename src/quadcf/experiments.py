@@ -9,7 +9,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -85,30 +84,30 @@ def run_items(kernel, ctx, ns: list[int], workers: int, label: str = "N") -> lis
     """The rows kernel(ctx, n) returns for each n, concatenated in the order
     of ns.
 
-    ctx is built once by the caller and travels to the workers with the
-    kernel. With more than one process, ns is dealt out round-robin into
-    k chunks (ns[i::k]), so every chunk holds small and large N alike, and
-    the per-item results are put back in input order. There are a few
-    chunks per process, so a process slowed down by other load hands its
-    share to the rest. The pool never exceeds the CPU count or the item
-    count, no chunk is empty, and multiprocessing is imported only when a
-    pool starts; the output does not depend on the worker count.
+    ctx is built once by the caller. With more than one process, ns is
+    dealt out round-robin into one share per process (ns[i::k]), so every
+    share holds small and large N alike, and the per-item results are put
+    back in input order. The calling process works share 0 itself; each
+    other share runs in a child made by POSIX fork, which inherits kernel
+    and ctx and sends its rows back pickled through a pipe. The process
+    count never exceeds the CPUs this process may run on or the item
+    count, so no share is empty; where os.fork does not exist, every item
+    runs in the calling process. The output does not depend on the worker
+    count.
 
-    Each chunk stops at its first failing item, and the exception raised
+    Each share stops at its first failing item, and the exception raised
     is that of the first failing n in the order of ns, as with one worker.
-    An InvariantError's message is prefixed with f"{label}={n}: ".
+    An InvariantError's message is prefixed with f"{label}={n}: ". A child
+    that dies without sending its rows raises an InvariantError naming its
+    share; no child outlives the call.
     """
-    procs = min(workers, os.cpu_count() or 1, len(ns))
-    if procs <= 1:
+    procs = min(workers, _usable_cpus(), len(ns))
+    if procs <= 1 or not hasattr(os, "fork"):
         k, parts = 1, [_item_rows(kernel, ctx, label, ns)]
     else:
-        from multiprocessing import Pool
-
-        k = min(4 * procs, len(ns))
-        with Pool(procs) as pool:
-            parts = pool.map(functools.partial(_item_rows, kernel, ctx, label),
-                             [ns[i::k] for i in range(k)])
-    # chunk i holds ns[i::k], so its j-th item is ns[i + j*k]
+        k = procs
+        parts = _forked_item_rows(kernel, ctx, label, [ns[i::k] for i in range(k)])
+    # share i holds ns[i::k], so its j-th item is ns[i + j*k]
     failures = [(i + f[0] * k, f[1]) for i, (_, f) in enumerate(parts) if f]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
@@ -132,6 +131,65 @@ def _item_rows(kernel, ctx, label: str,
         except Exception as e:
             return out, (j, e)
     return out, None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    affinity mask cannot be read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked_item_rows(kernel, ctx, label: str, shares: list[list[int]]) -> list:
+    """_item_rows of each share: shares[0] in this process, each other share
+    in a forked child that pickles its result into a pipe and exits."""
+    import pickle
+    import signal
+
+    pending = []  # (pid, read end of its pipe) of the children not yet reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        pickle.dump(_item_rows(kernel, ctx, label, share), out,
+                                    pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    # no cleanup of the parent's: its buffers, atexit and
+                    # finally blocks belong to it alone
+                    os._exit(code)
+            os.close(w)
+            pending.append((pid, r))
+        parts = [_item_rows(kernel, ctx, label, shares[0])]
+        for share in shares[1:]:
+            pid, r = pending[0]
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pending.pop(0)
+            os.close(r)
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise InvariantError(
+                    f"the worker of {len(share)} items from {label}={share[0]} {how}")
+            parts.append(pickle.loads(data))
+        return parts
+    finally:
+        # on an error or interrupt here: stop and reap every child left
+        for pid, r in pending:
+            os.close(r)
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already
+                pass
 
 
 # ---- deviation scan (pattern frequencies along N*x) ----

@@ -1,7 +1,7 @@
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -149,70 +149,80 @@ def test_artin_scan_parallel_matches_serial():
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """Replace multiprocessing.Pool by one that maps in process; returns
-    the record of each pool's size and chunks."""
-    seen = SimpleNamespace(sizes=[], chunks=[])
+def forks(monkeypatch):
+    """Record the shares of each forked run and count the forks, which are
+    real; the runner sees two usable CPUs unless a test sets its own."""
+    seen = SimpleNamespace(shares=[], count=0)
+    real_run, real_fork = experiments._forked_item_rows, os.fork
 
-    class SerialPool:
-        def __init__(self, processes):
-            seen.sizes.append(processes)
+    def run(kernel, ctx, label, shares):
+        seen.shares.append(shares)
+        return real_run(kernel, ctx, label, shares)
 
-        def __enter__(self):
-            return self
+    def fork():
+        seen.count += 1
+        return real_fork()
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            seen.chunks.append(chunks)
-            return [fn(chunk) for chunk in chunks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(experiments, "_forked_item_rows", run)
+    monkeypatch.setattr(experiments.os, "fork", fork)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return seen
 
 
-def test_pool_is_capped_at_cpu_count(monkeypatch, serial_pool):
+def no_fork():
+    raise AssertionError("forked")
+
+
+def test_forks_are_capped_at_cpu_count(monkeypatch, forks):
+    # without an affinity mask to read, the machine's CPU count caps the processes
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     recs = artin_scan(ScanConfig(bound=30, workers=10_000))
-    assert serial_pool.sizes == [3]
+    assert forks.count == 2 and len(forks.shares[0]) == 3  # the caller works share 0
     assert recs == artin_scan(ScanConfig(bound=30))  # reassembled in input order
 
 
-def test_pool_gets_no_empty_chunk(monkeypatch, serial_pool):
+def test_forks_are_capped_at_the_usable_cpus(monkeypatch):
+    # one CPU in the affinity mask of a two-CPU machine: one process
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    serial = artin_scan(ScanConfig(bound=30))
+    monkeypatch.setattr(experiments.os, "fork", no_fork)
+    assert artin_scan(ScanConfig(bound=30, workers=2)) == serial
+
+
+def test_scan_runs_in_one_process_without_fork(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial = artin_scan(ScanConfig(bound=30))
+    monkeypatch.delattr(experiments.os, "fork", raising=False)
+    assert artin_scan(ScanConfig(bound=30, workers=2)) == serial
+
+
+def test_no_share_is_empty(forks):
     serial = (converge_scan(ScanConfig(bound=3)), artin_scan(ScanConfig(bound=3)))
     cfg = ScanConfig(bound=3, workers=2)
     assert (converge_scan(cfg), artin_scan(cfg)) == serial
-    assert serial_pool.sizes == [2, 2]
-    assert serial_pool.chunks == [[[2], [3]], [[2], [3]]]  # 2 items: 2 chunks, not 8
+    assert forks.shares == [[[2], [3]], [[2], [3]]]  # 2 items: one each
     assert artin_scan(ScanConfig(bound=30, workers=2)) == artin_scan(ScanConfig(bound=30))
-    assert len(serial_pool.chunks[-1]) == 8 and all(serial_pool.chunks[-1])
+    assert len(forks.shares[-1]) == 2 and all(forks.shares[-1])
+    assert forks.count == 3
 
 
-def test_one_item_scan_starts_no_pool(monkeypatch):
-    def no_pool(processes):
-        raise AssertionError(f"a pool of {processes} for one item")
-
+def test_one_item_scan_forks_nothing(monkeypatch):
     serial = (converge_scan(ScanConfig(bound=2)), artin_scan(ScanConfig(bound=2)))
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments.os, "fork", no_fork)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = ScanConfig(bound=2, workers=2)
     assert (converge_scan(cfg), artin_scan(cfg)) == serial
 
 
 @pytest.mark.parametrize("error, message", [
     (InvariantError, "N=2: synthetic at 2"), (UsageError, "synthetic at 2")])
-def test_first_failing_item_is_raised_at_any_worker_count(monkeypatch, serial_pool,
-                                                          error, message):
-    # 10 items at 2 processes make 8 chunks: chunk 0 is [1, 9], chunk 1 is
-    # [2, 10]. Chunk 0 fails at N=9 before chunk 1 fails at N=2, but N=2
-    # comes first in the input, as with one worker.
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    calls = []
-
+def test_first_failing_item_is_raised_at_any_worker_count(forks, error, message):
+    # 10 items at 2 processes make 2 shares: the caller's is [1, 3, ..., 9]
+    # and the child's [2, 4, ..., 10]. N=9 fails in the caller's share and
+    # N=2 in the child's, but N=2 comes first in the input, as with one worker.
     def kernel(ctx, n):
-        calls.append(n)
         if n in (2, 9):
             raise error(f"synthetic at {n}")
         return [n]
@@ -221,8 +231,89 @@ def test_first_failing_item_is_raised_at_any_worker_count(monkeypatch, serial_po
         with pytest.raises(error) as info:
             experiments.run_items(kernel, None, list(range(1, 11)), workers)
         assert str(info.value) == message
-    assert serial_pool.chunks[0][:2] == [[1, 9], [2, 10]]
-    assert 10 not in calls  # chunk 1 stopped at its first failure
+    assert forks.shares == [[[1, 3, 5, 7, 9], [2, 4, 6, 8, 10]]]
+
+
+def test_item_rows_stop_at_the_first_failure():
+    calls = []
+
+    def kernel(ctx, n):
+        calls.append(n)
+        if n in (4, 6):
+            raise InvariantError(f"synthetic at {n}")
+        return [ctx, n]
+
+    rows, (j, e) = experiments._item_rows(kernel, "c", "N", [2, 4, 6])
+    assert rows == [["c", 2]] and j == 1 and str(e) == "N=4: synthetic at 4"
+    assert calls == [2, 4]
+    assert experiments._item_rows(kernel, "c", "N", [2, 3]) == ([["c", 2], ["c", 3]], None)
+
+
+def run_python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports quadcf from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# in a fresh interpreter, so that a runner which hangs or leaves children
+# fails this test rather than the test session
+_CHILDREN_LEFT = """
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("children left")
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_a_dead_worker_fails_the_scan():
+    code = """if 1:
+        import os, signal, sys
+        from quadcf import cli, experiments
+        os.sched_getaffinity = lambda pid: {0, 1}
+        parent, real = os.getpid(), experiments._artin_item
+
+        def dying(ctx, n):
+            if n in (5, 6) and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(ctx, n)
+
+        experiments._artin_item = dying
+        print(cli.main(["artin", "--d", "5", "--sequence", "integers", "--bound", "11",
+                        "--workers", "2", "--output", os.devnull]))
+    """ + _CHILDREN_LEFT
+    res = run_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["3", "no child left", ""]
+    # the caller works N = 2, 4, ..., 10; the child N = 3, 5, ..., 11 and dies at N=5
+    assert res.stderr == ("internal invariant violated: the worker of 5 items from N=3 "
+                          f"was killed by signal {signal.SIGKILL.value}\n")
+
+
+def test_an_interrupt_in_the_callers_share_reaps_every_child():
+    code = """if 1:
+        import os, time
+        from quadcf import experiments
+        os.sched_getaffinity = lambda pid: {0, 1, 2}
+        parent = os.getpid()
+
+        def kernel(ctx, n):
+            if n in (1, 2) and os.getpid() != parent:
+                time.sleep(30)  # each child's first item: only a kill ends it in time
+            elif n == 3:
+                raise KeyboardInterrupt
+            return [n]
+
+        try:
+            experiments.run_items(kernel, None, list(range(9)), 3)
+        except KeyboardInterrupt:
+            print("interrupted")
+    """ + _CHILDREN_LEFT
+    res = run_python(code, timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["interrupted", "no child left", ""]
 
 
 def test_converge_setup_factors_the_radicand_once(monkeypatch):
@@ -245,11 +336,7 @@ def test_converge_setup_factors_the_radicand_once(monkeypatch):
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    code = "import sys, quadcf.cli; print('multiprocessing' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    res = run_python("import sys, quadcf.cli; print('multiprocessing' in sys.modules)")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
 

@@ -1,7 +1,7 @@
 """Every record type is a named tuple that keeps the contract of the frozen
-dataclass it replaced: the same repr, pickling (the worker pool ships
-FieldData, Surd and Mat2), copying, hashing and, for validated records,
-the same error on every way an instance is built."""
+dataclass it replaced: the same repr, pickling (a forked worker sends its
+rows back pickled), copying, hashing and, for validated records, the same
+error on every way an instance is built."""
 
 import copy
 import pickle

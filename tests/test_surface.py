@@ -57,17 +57,29 @@ def test_library_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, (path.name, node.lineno, top)
 
 
-def test_no_module_imports_dataclasses():
-    # records are named tuples, one idiom, and cost no code generation at import
+def _imported_modules():
+    """(file name, line, module name) of every import in the package, at
+    any depth."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                for alias in node.names:
+                    yield path.name, node.lineno, alias.name
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert "dataclasses" not in names, (path.name, node.lineno)
+                yield path.name, node.lineno, node.module or ""
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples, one idiom, and cost no code generation at import
+    for name, lineno, module in _imported_modules():
+        assert module != "dataclasses", (name, lineno)
+
+
+def test_no_module_imports_a_process_pool():
+    # the item runner forks its workers itself: starting a pool cost more
+    # than a two-worker scan of a few thousand items saved
+    for name, lineno, module in _imported_modules():
+        assert module.partition(".")[0] not in ("multiprocessing", "concurrent"), (name, lineno)
 
 
 def test_every_public_definition_runs_outside_the_tests():
@@ -117,7 +129,8 @@ def _package_imports(node) -> list[str]:
 
 
 def test_no_function_imports_a_package_module():
-    # a call-time import hides a dependency; multiprocessing in run_items is fine
+    # a call-time import hides a dependency; a standard-library module imported
+    # only on the path that needs it, as pickle in the runner's fork path, is fine
     late = []
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
