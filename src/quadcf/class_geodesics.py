@@ -20,18 +20,21 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .arith import InvariantError, factorize, is_square, primes_up_to, sqrt_mod
-from .quad_orders import OrderSpec, field_data, regulator_of_order
+from .quad_orders import OrderSpec, _squarefree_field, regulator_of_order
 from .surd import _reduced
 
 
 @functools.lru_cache(maxsize=128)
 def _check_disc(disc: int) -> int:
     """isqrt(disc), once disc is known to be a positive nonsquare = 0, 1
-    mod 4. Memoised, since every form built or tested asks again for the
-    one discriminant of its cycle."""
+    mod 4. Memoised, since rho asks again at every step of a cycle;
+    reduced_forms and rho build their forms without asking."""
     if disc <= 0 or disc % 4 not in (0, 1) or is_square(disc):
         raise ValueError(f"need a positive nonsquare discriminant = 0,1 mod 4, got {disc}")
     return math.isqrt(disc)
+
+
+_form = tuple.__new__  # _form(IndefForm, t) skips the checks, for proven forms
 
 
 class IndefForm(namedtuple("IndefForm", "a b c")):
@@ -118,7 +121,9 @@ def reduced_forms(disc: int) -> list[IndefForm]:
     d <= isqrt(m) are built, from the factor list of m that one sieve
     gives for all b. Both signs of a occur. Imprimitive forms
     (g = gcd(a,b,c) > 1, which exist only when g^2 divides disc) belong to
-    disc/g^2 and are skipped.
+    disc/g^2 and are skipped. The forms are checked once per discriminant:
+    each is built unchecked, since the sieve's factorizations multiply back
+    to m = |ac| = (disc - b^2)/4 > 0.
     """
     s = _check_disc(disc)
     forms: list[IndefForm] = []
@@ -128,6 +133,8 @@ def reduced_forms(disc: int) -> list[IndefForm]:
         r = math.isqrt(m)
         small = [1]  # the divisors of m up to r, built prime power by prime power
         for p, e in factors:
+            if p > r:
+                break  # the primes ascend: no later power is small
             block, q = [], 1
             for _ in range(e):
                 q *= p
@@ -137,18 +144,21 @@ def reduced_forms(disc: int) -> list[IndefForm]:
                 block += [d * q for d in small if d <= cap]
             small += block
         ds = [d for d in small if d >= lo and m // d <= hi and math.gcd(d, b, m // d) == 1]
+        if not ds:
+            continue
         ds += [m // d for d in ds if d * d != m]
         ds.sort()
         # ordered by (b, a): negative a first
-        forms += [IndefForm(-d, b, m // d) for d in reversed(ds)]
-        forms += [IndefForm(d, b, -(m // d)) for d in ds]
+        forms += [_form(IndefForm, (-d, b, m // d)) for d in reversed(ds)]
+        forms += [_form(IndefForm, (d, b, -(m // d))) for d in ds]
     return forms
 
 
 def rho(F: IndefForm) -> IndefForm:
     """Reduction-step permutation on reduced forms: (a, b, c) becomes
     (c, b', (b'^2 - disc)/(4c)) with b' = -b mod 2|c| pulled into the
-    reduced window (s - 2|c|, s]."""
+    reduced window (s - 2|c|, s]. Its forms are checked once per discriminant:
+    the exact division proves b'^2 - 4cc' = disc, and c' != 0 as disc is no square."""
     a, b, c = F
     disc = b * b - 4 * a * c
     s = _check_disc(disc)
@@ -161,7 +171,7 @@ def rho(F: IndefForm) -> IndefForm:
         raise InvariantError("rho left the discriminant lattice")
     if not _reduced(b2, two_c, s):
         raise InvariantError("rho left the reduced set")
-    return IndefForm(c, b2, c2)
+    return _form(IndefForm, (c, b2, c2))
 
 
 def class_number(disc: int) -> int:
@@ -221,6 +231,7 @@ def total_length(disc: int) -> TotalLength:
 
 def _total_length(disc: int, h: int) -> TotalLength:
     D0, f = fundamental_decomposition(disc)
-    reg = regulator_of_order(OrderSpec(field_data(D0), f))
+    # D0's kernel is squarefree: fundamental_decomposition factored disc
+    reg = regulator_of_order(OrderSpec(_squarefree_field(D0 if D0 % 4 == 1 else D0 // 4), f))
     total = h * reg
     return TotalLength(disc, h, reg, total, math.log(total) / math.log(math.sqrt(disc)))

@@ -207,8 +207,11 @@ def cmd_unit(args) -> int:
 
 def cmd_classno(args) -> int:
     check_form_work(args.disc, args.disc)
-    h, nred = _cycles(args.disc)
-    tl = _total_length(args.disc, h)
+    try:
+        h, nred = _cycles(args.disc)
+        tl = _total_length(args.disc, h)
+    except InvariantError as e:  # named as the duke runner names a failing item
+        raise InvariantError(f"disc={args.disc}: {e}") from e
     print(
         f"disc={args.disc} h={tl.h} reduced_forms={nred} reg={tl.reg!r} "
         f"total_length={tl.total_length!r} exponent={tl.exponent!r}"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadcf import class_geodesics
+from quadcf import class_geodesics, quad_orders
 from quadcf.arith import InvariantError, factorize
 from quadcf.class_geodesics import (
     IndefForm,
@@ -18,7 +18,7 @@ from quadcf.class_geodesics import (
     rho,
     total_length,
 )
-from quadcf.quad_orders import field_data
+from quadcf.quad_orders import OrderSpec, field_data, regulator_of_order
 from helpers import dirichlet_class_number, frac_sqrt, reduce_form, reduced_forms_by_factorize
 
 SMALL_DISCS = [5, 8, 12, 13, 17, 20, 21, 24, 28, 32, 33, 40, 44, 45, 48, 60, 229]
@@ -259,6 +259,44 @@ def test_reduced_forms_do_not_factor_per_b(monkeypatch):
     for disc in (5, 8, 229, 4004, 69300, 10**6 + 1):
         assert reduced_forms(disc), disc
 
+
+
+def test_unchecked_forms_pass_the_checks():
+    # reduced_forms and rho build their forms without IndefForm's checks;
+    # each one must be a form the validating constructor accepts as it is
+    discs = [d for d in range(5, 3001) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
+    checked = 0
+    for disc in discs + SIEVE_DISCS:
+        for F in reduced_forms(disc):
+            for G in (F, rho(F)):
+                assert type(G) is IndefForm, (disc, G)
+                assert IndefForm(*G) == G, (disc, G)
+                assert G.disc == disc and G.is_reduced(), (disc, G)
+                checked += 1
+    assert checked > 100_000
+
+
+def test_total_length_factors_each_field_once(monkeypatch):
+    # fundamental_decomposition factored disc, so the field is built from
+    # its squarefree kernel without field_data factoring that again
+    discs = [d for d in range(5, 2001) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
+    discs += [4004, 69300, 10**6 + 1]
+    oracle = {}
+    for disc in discs:
+        D0, f = fundamental_decomposition(disc)
+        h = class_number(disc)
+        reg = regulator_of_order(OrderSpec(field_data(D0), f))
+        oracle[disc] = (h, reg)
+
+    def refuse(d):
+        raise AssertionError(f"field_data({d}) called")
+
+    monkeypatch.setattr(quad_orders, "field_data", refuse)
+    monkeypatch.setattr(class_geodesics, "field_data", refuse, raising=False)
+    for disc in discs:
+        t = total_length(disc)
+        assert (t.h, t.reg) == oracle[disc], disc
+        assert t.total_length == t.h * t.reg, disc
 
 
 def test_class_number_refuses_a_rho_that_is_not_a_permutation(monkeypatch):

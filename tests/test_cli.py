@@ -318,6 +318,16 @@ def test_exit_code_3_names_the_failing_n(monkeypatch, capsys):
     assert "N=5: synthetic failure" in capsys.readouterr().err
 
 
+def test_exit_code_3_from_classno_names_the_discriminant(monkeypatch, capsys):
+    # classno names its input the way the duke runner names a failing item
+    outside = class_geodesics.IndefForm(1, 1, -57)  # disc 229 but not reduced
+    monkeypatch.setattr(class_geodesics, "rho", lambda F: outside)
+    expected = "internal invariant violated: disc=229: rho is not a permutation"
+    for argv in (["classno", "--disc", "229"], ["duke", "--min", "229", "--max", "229"]):
+        assert run(argv) == 3, argv
+        assert capsys.readouterr().err.startswith(expected), argv
+
+
 @pytest.mark.parametrize("argv, path", [
     (["converge", "--output", "/nonexistent/dir/x.csv"], "/nonexistent/dir/x.csv"),
     (["duke", "--summary", "/nonexistent/s.txt"], "/nonexistent/s.txt"),
