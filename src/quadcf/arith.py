@@ -1,5 +1,6 @@
 """Integer groundwork: primality, prime sieve, factorization, square roots
-mod a prime, Kronecker symbol.
+mod a prime, the Kronecker symbol at a prime, and the base of the
+validated records.
 
 Everything here is exact; no floats. Numbers are plain Python ints and may
 be arbitrarily large.
@@ -9,11 +10,25 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from typing import NamedTuple
 
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed (library bug, not bad input)."""
+
+
+def _checked_make(cls, iterable):
+    return cls(*iterable)
+
+
+def checked_record(name: str, fields: str) -> type:
+    """The named-tuple base of a record whose subclass validates in __new__.
+    Its _make, which _replace calls too, builds through cls(...), where the
+    generated one would skip the checks."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(_checked_make)
+    return base
 
 
 def is_square(n: int) -> bool:
@@ -219,11 +234,11 @@ def factorize(n: int) -> Factorization:
 
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a modulo the odd prime p, or None when a is not a
-    square mod p (Euler's criterion, then Tonelli-Shanks)."""
+    square mod p (Euler's criterion by kronecker, then Tonelli-Shanks)."""
     a %= p
     if a == 0:
         return 0
-    if pow(a, (p - 1) // 2, p) != 1:
+    if kronecker(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -232,7 +247,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         q //= 2
         k += 1
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while kronecker(z, p) != -1:
         z += 1
     c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -247,29 +262,13 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for n >= 1.
-
-    Completely multiplicative in n; extends the Jacobi symbol with
-    (a|2) = 0, 1, -1 for a even, a = +-1 mod 8, a = +-3 mod 8.
-    """
-    if n < 1:
-        raise ValueError("kronecker expects n >= 1")
-    result = 1
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+def kronecker(a: int, p: int) -> int:
+    """Kronecker symbol (a|p) at the prime p: 0 when p divides a, else 1 or
+    -1 as a is a square mod p or not. Euler's criterion a^((p-1)/2) mod p
+    for odd p; at p = 2, 1 for a = +-1 mod 8 and -1 for a = +-3 mod 8."""
+    if p < 2:
+        raise ValueError("kronecker expects a prime p")
+    if p == 2:
+        return 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
+    e = pow(a, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e

@@ -15,21 +15,25 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .arith import InvariantError, factorize, is_square, primes_up_to, sqrt_mod
+from .arith import InvariantError, checked_record, factorize, is_square, primes_up_to, sqrt_mod
 from .quad_orders import OrderSpec, _squarefree_field, regulator_of_order
 from .surd import _reduced
 
 
+def _is_disc(disc: int) -> bool:
+    """Is disc a discriminant of forms here: a positive nonsquare = 0, 1 mod 4?"""
+    return disc > 0 and disc % 4 in (0, 1) and not is_square(disc)
+
+
 @functools.lru_cache(maxsize=128)
 def _check_disc(disc: int) -> int:
-    """isqrt(disc), once disc is known to be a positive nonsquare = 0, 1
-    mod 4. Memoised, since rho asks again at every step of a cycle;
-    reduced_forms and rho build their forms without asking."""
-    if disc <= 0 or disc % 4 not in (0, 1) or is_square(disc):
+    """isqrt(disc), once _is_disc(disc) holds. Memoised, since rho asks
+    again at every step of a cycle; reduced_forms and rho build their
+    forms without asking."""
+    if not _is_disc(disc):
         raise ValueError(f"need a positive nonsquare discriminant = 0,1 mod 4, got {disc}")
     return math.isqrt(disc)
 
@@ -37,7 +41,7 @@ def _check_disc(disc: int) -> int:
 _form = tuple.__new__  # _form(IndefForm, t) skips the checks, for proven forms
 
 
-class IndefForm(namedtuple("IndefForm", "a b c")):
+class IndefForm(checked_record("IndefForm", "a b c")):
     """The form a*x^2 + b*xy + c*y^2, as the triple (a, b, c). Built only
     when a, c != 0 and the discriminant is valid."""
 
@@ -48,9 +52,6 @@ class IndefForm(namedtuple("IndefForm", "a b c")):
             raise ValueError("degenerate form")
         _check_disc(b * b - 4 * a * c)
         return tuple.__new__(cls, (a, b, c))
-
-    # namedtuple's _make, which _replace calls too, would skip the checks
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def disc(self) -> int:

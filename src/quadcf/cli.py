@@ -10,6 +10,7 @@ explicit command line flags override file entries.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -172,6 +173,11 @@ def cmd_scan(args) -> int:
     output, fmt, summary = (st.pop(key) for key in _OUTPUT_DEFAULTS)
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
+    for path in (output, None if summary == "-" else summary):
+        # refused before the scan; the write after it still has the last word
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            reason = os.strerror(errno.EISDIR if os.path.isdir(path) else errno.ENOENT)
+            raise UsageError(f"cannot write {path}: {reason}")
     rows = spec.scan(st)
     emit(render_table(spec.row_type, rows, fmt), output)
     if summary is not None:
@@ -256,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="continued fraction of (p + r*sqrt(d))/q")
     _add_surd_flags(sp)
-    sp.set_defaults(p=0, r=1, d=2, q=1)
+    sp.set_defaults(**{k: ScanConfig._field_defaults[k] for k in ("p", "r", "d", "q")})
     sp.add_argument("--convergents", type=int, default=0, metavar="K",
                     help="also print the first K convergents")
     sp.set_defaults(func=cmd_expand)

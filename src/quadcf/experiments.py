@@ -18,16 +18,17 @@ import sys
 from typing import NamedTuple
 
 from .arith import InvariantError, is_prime, primes_up_to
-from .class_geodesics import TotalLength, fundamental_decomposition, total_length
+from .class_geodesics import TotalLength, _is_disc, fundamental_decomposition, total_length
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
-from .matrix_orders import OrderRecord, _record_for
+from .matrix_orders import COMPOSITE, OrderRecord, _record_for
 from .quad_orders import (
+    OrderSpec,
     _squarefree_field,
     conductor_of_surd,
     field_data,
     phi,
+    regulator_of_order,
     surd_coords,
-    unit_group_index,
 )
 from .surd import cf_expand, make_surd, scale
 
@@ -220,9 +221,8 @@ def _converge_item(ctx, n: int) -> list[DeviationRow]:
     xn = scale(base, n)
     e = cf_expand(xn)
     L = e.period_length
-    cond = conductor_of_surd(fdata, xn)
-    disc = cond * cond * fdata.D
-    reg = fdata.regD * unit_group_index(fdata, cond)
+    order = OrderSpec(fdata, conductor_of_surd(fdata, xn))
+    disc, reg = order.disc, regulator_of_order(order)
     try:
         rexp = math.log(reg) / math.log(math.sqrt(disc))
     except OverflowError:  # disc beyond the float range
@@ -322,7 +322,7 @@ def artin_stats(records: list[OrderRecord], thresholds=(0.7, 0.8, 0.9)) -> dict:
     for theta in thresholds:
         hits = sum(1 for r in records if r.ord >= r.N**theta)
         densities[theta] = hits / len(records)
-    primes = [r for r in records if r.split_type != "composite"]
+    primes = [r for r in records if r.split_type != COMPOSITE]
     prime_max = (
         sum(1 for r in primes if r.is_max) / len(primes) if primes else float("nan")
     )
@@ -363,10 +363,7 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     check_form_work(lo, dmax)
     out = []
     for disc in range(lo, dmax + 1):
-        if disc % 4 not in (0, 1):
-            continue
-        s = math.isqrt(disc)
-        if s * s == disc:
+        if not _is_disc(disc):
             continue
         if fundamental_only and fundamental_decomposition(disc)[1] != 1:
             continue

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
+from .arith import checked_record
 from .surd import CFExpansion, convergents
 
 
-class Pattern(namedtuple("Pattern", "digits")):
+class Pattern(checked_record("Pattern", "digits")):
     __slots__ = ()
 
     def __new__(cls, digits: tuple[int, ...]):
@@ -28,9 +28,6 @@ class Pattern(namedtuple("Pattern", "digits")):
         if any(a < 1 for a in digits):
             raise ValueError("pattern digits must be >= 1")
         return tuple.__new__(cls, (digits,))
-
-    # namedtuple's _make, which _replace calls too, would skip the checks
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def label(self) -> str:
         return "-".join(str(a) for a in self.digits)
@@ -42,7 +39,7 @@ def _as_digits(w) -> tuple[int, ...]:
     return Pattern(tuple(w)).digits
 
 
-class Cylinder(namedtuple("Cylinder", "low high")):
+class Cylinder(checked_record("Cylinder", "low high")):
     """Interval of x in [0,1] opening with the given digits."""
 
     __slots__ = ()
@@ -51,8 +48,6 @@ class Cylinder(namedtuple("Cylinder", "low high")):
         if not (0 <= low < high <= 1):
             raise ValueError("cylinder endpoints out of order")
         return tuple.__new__(cls, (low, high))
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def cylinder(w) -> Cylinder:

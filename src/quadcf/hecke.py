@@ -8,9 +8,7 @@ its index there is |a|, with no coordinates and no factoring.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .arith import InvariantError, factorize, is_prime
+from .arith import InvariantError, checked_record, factorize, is_prime
 from .quad_orders import (
     FieldData,
     alg_mul,
@@ -47,7 +45,7 @@ def are_neighbors(x: Surd, y: Surd, p: int) -> bool:
     return _sublattice_index(x, y) == p or _sublattice_index(y, x) == p
 
 
-class HeckeChain(namedtuple("HeckeChain", "nodes steps")):
+class HeckeChain(checked_record("HeckeChain", "nodes steps")):
     """nodes[0] connected to nodes[-1] through one prime step at a time;
     steps[i] = (p, direction) relates nodes[i] to nodes[i+1]."""
 
@@ -57,9 +55,6 @@ class HeckeChain(namedtuple("HeckeChain", "nodes steps")):
         if len(nodes) != len(steps) + 1:
             raise ValueError("need exactly one step between consecutive nodes")
         return tuple.__new__(cls, (nodes, steps))
-
-    # namedtuple's _make, which _replace calls too, would skip the checks
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def primes(self) -> list[int]:
         return sorted(p for p, _ in self.steps)
@@ -119,8 +114,6 @@ def chain_between(x: Surd, y: Surd) -> HeckeChain:
 
 
 def _prime_multiset(n: int) -> list[int]:
-    if n == 1:
-        return []
     out: list[int] = []
     for p, e in factorize(n).factors:
         out.extend([p] * e)

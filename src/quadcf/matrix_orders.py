@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import InvariantError, factorize, is_prime, kronecker
+from .arith import InvariantError, checked_record, factorize, is_prime, kronecker
 
 if TYPE_CHECKING:  # annotations only: quad_orders imports this module
     from .quad_orders import FieldData
@@ -172,7 +171,7 @@ def max_element_order(f: FieldData, p: int) -> int:
     return p + 1 if f.unit_norm == 1 else 2 * (p + 1)
 
 
-class OrderRecord(namedtuple("OrderRecord", "N ord exponent split_type is_max")):
+class OrderRecord(checked_record("OrderRecord", "N ord exponent split_type is_max")):
     """exponent = ln(ord)/ln(N); is_max for odd unramified primes, else None."""
 
     __slots__ = ()
@@ -181,9 +180,6 @@ class OrderRecord(namedtuple("OrderRecord", "N ord exponent split_type is_max"))
         if ord < 1:
             raise ValueError("order must be positive")
         return tuple.__new__(cls, (N, ord, exponent, split_type, is_max))
-
-    # namedtuple's _make, which _replace calls too, would skip the checks
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:

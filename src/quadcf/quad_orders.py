@@ -22,11 +22,10 @@ matrix_orders computes; Mat2 is defined there.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import InvariantError, factorize, is_square
+from .arith import InvariantError, checked_record, factorize, is_square
 from .matrix_orders import Mat2, _least_exponent, mat_order_mod
 from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
 
@@ -55,7 +54,7 @@ class FieldData(NamedTuple):
     unit_norm: int
 
 
-class OrderSpec(namedtuple("OrderSpec", "field f")):
+class OrderSpec(checked_record("OrderSpec", "field f")):
     """The suborder Z[f*xD] of conductor f inside field.D's maximal order."""
 
     __slots__ = ()
@@ -64,9 +63,6 @@ class OrderSpec(namedtuple("OrderSpec", "field f")):
         if f < 1:
             raise ValueError("conductor must be >= 1")
         return tuple.__new__(cls, (field, f))
-
-    # namedtuple's _make, which _replace calls too, would skip the checks
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @property
     def disc(self) -> int:

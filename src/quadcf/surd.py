@@ -10,14 +10,13 @@ integral forever, so expansions need no rational fallback and no floats.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .arith import InvariantError, is_square
+from .arith import InvariantError, checked_record, is_square
 
 
-class Surd(namedtuple("Surd", "P Q D")):
+class Surd(checked_record("Surd", "P Q D")):
     __slots__ = ()
 
     def __new__(cls, P: int, Q: int, D: int):
@@ -28,9 +27,6 @@ class Surd(namedtuple("Surd", "P Q D")):
         if (D - P * P) % Q != 0:
             raise ValueError(f"Q={Q} does not divide D-P^2={D - P**2}")
         return tuple.__new__(cls, (P, Q, D))
-
-    # namedtuple's _make, which _replace calls too, would skip the checks
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def conjugate(self) -> "Surd":
         """(P - sqrt(D))/Q, rewritten to keep +sqrt(D) in the numerator."""
@@ -137,7 +133,7 @@ def eval_approx(x: Surd, bits: int = 53) -> Fraction:
         shift *= 2
 
 
-class CFExpansion(namedtuple("CFExpansion", "preperiod period")):
+class CFExpansion(checked_record("CFExpansion", "preperiod period")):
     """Continued-fraction digits: finite preperiod, then period repeating
     forever. The period is nonempty and of least length. Every digit after
     the first is >= 1; the first may be <= 0 for small or negative surds."""
@@ -150,8 +146,6 @@ class CFExpansion(namedtuple("CFExpansion", "preperiod period")):
         if min(preperiod[1:], default=1) < 1 or min(period) < 1:
             raise ValueError("digits after the first must be >= 1")
         return tuple.__new__(cls, (preperiod, period))
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def digits(self, n: int) -> list[int]:
         """First n digits of the full (eventually periodic) digit stream."""

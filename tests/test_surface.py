@@ -42,6 +42,31 @@ def test_public_names_are_frozen():
     assert public == frozen
 
 
+def test_only_checked_record_defines_make():
+    # a validated record derives its _make from checked_record, which
+    # builds through __new__; one defined or forgotten in a class body
+    # would let _make and _replace skip the record's checks
+    from quadcf.arith import checked_record
+
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names = [stmt.name]
+                else:
+                    names = [t.id for t in ast.walk(stmt)
+                             if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+                assert "_make" not in names, (path.name, cls.name, stmt.lineno)
+    make = checked_record("Record", "x")._make.__func__
+    validated = (quadcf.Surd, quadcf.CFExpansion, quadcf.Pattern, quadcf.Cylinder,
+                 quadcf.OrderSpec, quadcf.OrderRecord, quadcf.HeckeChain, quadcf.IndefForm)
+    for cls in validated:
+        assert "__new__" in vars(cls), cls.__name__
+        assert cls._make.__func__ is make, cls.__name__
+
+
 def test_library_imports_only_the_standard_library():
     files = sorted(SRC.glob("*.py"))
     assert len(files) >= 10
