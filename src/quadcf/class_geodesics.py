@@ -110,27 +110,29 @@ def _factor_products(disc: int) -> Iterator[tuple[int, int, list[tuple[int, int]
         yield b, m, fs
 
 
-def reduced_forms(disc: int) -> list[IndefForm]:
-    """All primitive reduced forms of the discriminant, deterministically
-    ordered.
+# Largest isqrt(disc) whose window divisors come from trial division rather
+# than the sieve: below it a window holds too few candidates (about
+# 0.14 * isqrt(disc) per b) to pay for a root per prime and a factor list
+# per b.
+TRIAL_DIVISION_MAX_ROOT = 512
 
-    b runs over its parity class up to isqrt(disc); for each b the product
-    a*c = (b^2 - disc)/4 is negative, and |a| must be a divisor of its
-    absolute value m inside the window ((sqrt(disc)-b)/2, (sqrt(disc)+b)/2).
-    The window's ends multiply to m, so d is inside it exactly when m/d
-    is: the window divisors come in pairs (d, m/d), and only the divisors
-    d <= isqrt(m) are built, from the factor list of m that one sieve
-    gives for all b. Both signs of a occur. Imprimitive forms
-    (g = gcd(a,b,c) > 1, which exist only when g^2 divides disc) belong to
-    disc/g^2 and are skipped. The forms are checked once per discriminant:
-    each is built unchecked, since the sieve's factorizations multiply back
-    to m = |ac| = (disc - b^2)/4 > 0.
-    """
-    s = _check_disc(disc)
-    forms: list[IndefForm] = []
+
+def _window_divisors_by_trial(disc: int, s: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(b, m, ds) for reduced_forms: every d in [lo, isqrt(m)] is tried."""
+    for b in range(2 - disc % 2, s + 1, 2):
+        m = (disc - b * b) // 4
+        ds = [d for d in range((s + 2 - b) // 2, math.isqrt(m) + 1)
+              if m % d == 0 and math.gcd(d, b, m // d) == 1]
+        if ds:
+            yield b, m, ds
+
+
+def _window_divisors_by_sieve(disc: int, s: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(b, m, ds) for reduced_forms: the divisors of m up to isqrt(m) are
+    built from the factor list _factor_products gives, and those from lo
+    up are kept."""
     for b, m, factors in _factor_products(disc):
-        # 2d - b <= s and 2d + b >= s + 1, as bounds on d
-        lo, hi = (s + 2 - b) // 2, (s + b) // 2
+        lo = (s + 2 - b) // 2
         r = math.isqrt(m)
         small = [1]  # the divisors of m up to r, built prime power by prime power
         for p, e in factors:
@@ -144,9 +146,36 @@ def reduced_forms(disc: int) -> list[IndefForm]:
                 cap = r // q
                 block += [d * q for d in small if d <= cap]
             small += block
-        ds = [d for d in small if d >= lo and m // d <= hi and math.gcd(d, b, m // d) == 1]
-        if not ds:
-            continue
+        ds = [d for d in small if d >= lo and math.gcd(d, b, m // d) == 1]
+        if ds:
+            yield b, m, ds
+
+
+def reduced_forms(disc: int) -> list[IndefForm]:
+    """All primitive reduced forms of the discriminant, deterministically
+    ordered.
+
+    b runs over its parity class up to isqrt(disc); for each b the product
+    a*c = (b^2 - disc)/4 is negative, and |a| must be a divisor of its
+    absolute value m inside the window ((sqrt(disc)-b)/2, (sqrt(disc)+b)/2).
+    The window's ends multiply to m, so a divisor d is inside it exactly
+    when m/d is: the window divisors come in pairs (d, m/d), and only the
+    divisors d <= isqrt(m), i.e. d in [lo, isqrt(m)] with lo the window's
+    least integer, are found. Up to isqrt(disc) = TRIAL_DIVISION_MAX_ROOT
+    each candidate d is tried by division; above it the divisors are built
+    from the factor lists of one sieve over all b. Both signs of a occur.
+    Imprimitive forms (g = gcd(a,b,c) > 1, which exist only when g^2
+    divides disc) belong to disc/g^2 and are skipped. The forms are checked
+    once per discriminant: each is built unchecked, since the exact
+    division d * (m/d) = m = |ac| = (disc - b^2)/4 > 0 proves it.
+    """
+    s = _check_disc(disc)
+    if s <= TRIAL_DIVISION_MAX_ROOT:
+        windows = _window_divisors_by_trial(disc, s)
+    else:
+        windows = _window_divisors_by_sieve(disc, s)
+    forms: list[IndefForm] = []
+    for b, m, ds in windows:
         ds += [m // d for d in ds if d * d != m]
         ds.sort()
         # ordered by (b, a): negative a first

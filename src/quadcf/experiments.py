@@ -37,10 +37,11 @@ class UsageError(ValueError):
     """Bad configuration or arguments; maps to exit code 2."""
 
 
-# Largest scan bound, and most (disc, b) pairs a duke window may walk
-# (reduced_forms sieves one value per b <= isqrt(disc), so the pairs bound
-# its time too), accepted: checked before any list is built, so an
-# oversized request fails at once.
+# Largest scan bound, and most (disc, b) pairs a duke window may walk,
+# accepted: checked before any list is built, so an oversized request fails
+# at once. reduced_forms takes one value per b <= isqrt(disc), and a pair
+# costs at most 107 trial divisions up to its trial-division cutoff and a
+# few sieve steps above it, so the pairs bound its time too.
 MAX_ITEMS = 10**6
 
 
@@ -349,9 +350,11 @@ def artin_summary_lines(stats: dict) -> list[str]:
 
 def check_form_work(lo: int, hi: int) -> None:
     """Refuse the discriminants lo..hi when (hi - lo + 1) * isqrt(hi), a
-    bound on the (disc, b) pairs reduced_forms sieves, exceeds MAX_ITEMS.
-    Each pair costs a few sieve steps and the pairing of its window
-    divisors, so the cap bounds the time as well as the count."""
+    bound on the (disc, b) pairs reduced_forms walks, exceeds MAX_ITEMS.
+    Up to isqrt(disc) = TRIAL_DIVISION_MAX_ROOT a pair costs at most about
+    0.21 * isqrt(disc) <= 107 trial divisions; above it, a few sieve steps.
+    Either way the pairing of its window divisors follows, so the cap
+    bounds the time as well as the count."""
     if (hi - lo + 1) * math.isqrt(max(hi, 0)) > MAX_ITEMS:
         raise UsageError(f"discriminants {lo}..{hi} need more than {MAX_ITEMS} (disc, b) pairs")
 

@@ -204,15 +204,23 @@ def test_sqrt_mod():
                 assert 0 <= r < p and r * r % p == a % p, (a, p)
 
 
-def test_kronecker_euler_criterion():
-    # (a/p) = a^((p-1)/2) mod p for odd primes
-    for p in sieve_primes(200):
-        if p == 2:
-            continue
+def test_kronecker_obeys_the_laws_of_the_symbol():
+    # laws that do not use Euler's criterion, which is kronecker's own body:
+    # multiplicativity in a, the supplements at -1 and 2, and reciprocity
+    primes = sieve_primes(200)
+    odd = primes[1:]
+    for p in primes:
+        assert kronecker(1, p) == 1 and kronecker(p, p) == kronecker(-3 * p, p) == 0, p
         for a in range(-20, 21):
-            euler = pow(a % p, (p - 1) // 2, p)
-            want = 0 if euler == 0 else (1 if euler == 1 else -1)
-            assert kronecker(a, p) == want, (a, p)
+            for b in range(-20, 21):
+                assert kronecker(a * b, p) == kronecker(a, p) * kronecker(b, p), (a, b, p)
+    for p in odd:
+        assert (kronecker(-1, p) == 1) == (p % 4 == 1), p
+        assert (kronecker(2, p) == 1) == (p % 8 in (1, 7)), p
+        for q in odd:
+            if q != p:
+                sign = -1 if p % 4 == q % 4 == 3 else 1
+                assert kronecker(p, q) * kronecker(q, p) == sign, (p, q)
 
 
 def test_kronecker_matches_reciprocity_oracle():

@@ -9,6 +9,7 @@ import pytest
 from quadcf import class_geodesics, quad_orders
 from quadcf.arith import InvariantError, factorize
 from quadcf.class_geodesics import (
+    TRIAL_DIVISION_MAX_ROOT,
     IndefForm,
     _factor_products,
     TotalLength,
@@ -19,7 +20,7 @@ from quadcf.class_geodesics import (
     total_length,
 )
 from quadcf.quad_orders import OrderSpec, field_data, regulator_of_order
-from helpers import dirichlet_class_number, frac_sqrt, reduce_form, reduced_forms_by_factorize
+from helpers import dirichlet_class_number, divisors, frac_sqrt, reduce_form, reduced_forms_by_factorize
 
 SMALL_DISCS = [5, 8, 12, 13, 17, 20, 21, 24, 28, 32, 33, 40, 44, 45, 48, 60, 229]
 
@@ -207,7 +208,8 @@ def test_total_length_values():
 
 
 def test_reduced_forms_match_per_b_factorize_enumeration():
-    # oracle: the enumeration with one factorize call per b that the sieve replaced
+    # oracle: the enumeration with one factorize call per b; all of 5..4000
+    # lies below the trial-division cutoff
     checked = 0
     for disc in range(5, 4000):
         if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
@@ -218,8 +220,11 @@ def test_reduced_forms_match_per_b_factorize_enumeration():
 
 
 # 105 = 3*5*7 and 1365 = 3*5*7*13: sieving primes dividing disc (one root);
-# 4004 = 4*7*11*13, 4*10007 and 4*30030 are 0 mod 4; 69300 = 4*9*25*77 has square factors
-SIEVE_DISCS = [105, 1365, 4004, 4 * 10007, 4 * 30030, 69300, 10**6 + 1]
+# 4004 = 4*7*11*13, 4*10007 and 4*30030 are 0 mod 4; 69300 = 4*9*25*77 has square factors.
+# Those lie below the trial-division cutoff; 10**6 + 1 and the last three
+# are their twins above it: 277200 = 16*9*25*77 (square factors, imprimitive
+# forms, 0 mod 4), 285285 = 3*5*7*11*13*19 and 4*255255 = 4*3*5*7*11*13*17
+SIEVE_DISCS = [105, 1365, 4004, 4 * 10007, 4 * 30030, 69300, 10**6 + 1, 277200, 285285, 4 * 255255]
 
 
 def test_sieve_factorizations_match_factorize():
@@ -246,9 +251,69 @@ def test_sieve_factorizations_match_factorize_at_1e10():
 
 
 def test_reduced_forms_match_per_b_factorize_enumeration_on_sieve_discs():
-    # square factors, 0 mod 4, imprimitive forms, and b = isqrt(disc)
+    # square factors, 0 mod 4, imprimitive forms, and b = isqrt(disc), on
+    # both sides of the trial-division cutoff
+    above = [d for d in SIEVE_DISCS if math.isqrt(d) > TRIAL_DIVISION_MAX_ROOT]
+    assert above == [10**6 + 1, 277200, 285285, 4 * 255255]
     for disc in SIEVE_DISCS:
         assert reduced_forms(disc) == reduced_forms_by_factorize(disc), disc
+    # 277200's windows hold divisors of imprimitive forms, which are skipped
+    s = math.isqrt(277200)
+    assert any(math.gcd(d, b, m // d) > 1
+               for b in range(2, s + 1, 2) for m in [(277200 - b * b) // 4]
+               for d in divisors(m) if 2 * d - b <= s < 2 * d + b)
+
+
+def test_reduced_forms_match_per_b_factorize_enumeration_across_the_cutoff():
+    # every discriminant within 300 of (TRIAL_DIVISION_MAX_ROOT + 1)^2, where
+    # the sieve takes over from trial division
+    edge = (TRIAL_DIVISION_MAX_ROOT + 1) ** 2
+    checked = 0
+    for disc in range(edge - 300, edge + 301):
+        if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+            continue
+        assert reduced_forms(disc) == reduced_forms_by_factorize(disc), disc
+        checked += 1
+    assert checked == 300
+
+
+def test_reduced_forms_sieve_only_above_the_cutoff(monkeypatch):
+    def refuse(disc):
+        raise AssertionError(f"_factor_products({disc}) called")
+
+    at_cutoff = (TRIAL_DIVISION_MAX_ROOT + 1) ** 2 - 1
+    above = at_cutoff + 4
+    assert math.isqrt(at_cutoff) == TRIAL_DIVISION_MAX_ROOT < math.isqrt(above)
+    want_at, want_above = reduced_forms(at_cutoff), reduced_forms(above)
+    monkeypatch.setattr(class_geodesics, "_factor_products", refuse)
+    assert reduced_forms(at_cutoff) == want_at and want_at
+    with pytest.raises(AssertionError, match="_factor_products"):
+        reduced_forms(above)
+    assert want_above == reduced_forms_by_factorize(above)
+
+
+def test_trial_division_per_pair_work_is_bounded_at_the_cutoff(monkeypatch):
+    # below the cutoff a (disc, b) pair tries each d in [lo, isqrt(m)]; the
+    # window starts above (sqrt(disc) - b)/2 and sqrt(m) is at most
+    # (sqrt(2) - 1)/2 * sqrt(disc) past that (at b = sqrt(disc/2)), so a pair
+    # costs about 0.21 * isqrt(disc), at most 107 divisions at the cutoff,
+    # and check_form_work's pair cap bounds the time
+    tried = []
+
+    def counting_range(*args):
+        r = range(*args)
+        if r.step == 1:  # the d candidates; b steps by 2
+            tried.append(len(r))
+        return r
+
+    monkeypatch.setattr(class_geodesics, "range", counting_range, raising=False)
+    for disc in (TRIAL_DIVISION_MAX_ROOT**2 + 1, (TRIAL_DIVISION_MAX_ROOT + 1) ** 2 - 1):
+        s = math.isqrt(disc)
+        tried.clear()
+        assert reduced_forms(disc), disc
+        assert len(tried) == len(range(2 - disc % 2, s + 1, 2)), disc
+        assert 100 <= max(tried) <= (math.sqrt(2) - 1) / 2 * math.sqrt(disc) + 1, disc
+        assert max(tried) <= 107, disc
 
 
 def test_reduced_forms_do_not_factor_per_b(monkeypatch):
