@@ -176,30 +176,26 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     index where the cycle starts, the purely periodic state there).
 
     By Galois' theorem (P + sqrt(D))/Q is purely periodic exactly when it
-    is reduced (_reduced). The first reduced state starts the period; the
-    period ends when it returns. A state P + sqrt(D) (Q = 1) met before
-    then is one digit away from sqrt(D)'s period, whose palindrome
-    _root_period walks only half of; sqrt(D) itself, and so every N*sqrt(d),
-    takes that path at its first step.
+    is reduced (_reduced), so the first reduced state (P0, Q0) starts the
+    period a_0 ... a_{L-1}. Counted in half digits (a_j at 2j), a cycle has
+    a centre c wherever its digits mirror, a_j = a_{c-j}: c = 2j when
+    P_{j+1} = P_j, and c = 2j + 1 when Q_{j+1} = Q_j (Perron, Die Lehre von
+    den Kettenbruechen). It has no centre or two, L half digits apart. One
+    sits just before the start when Q_{-1} = (D - P0^2)/Q0 equals Q0
+    (c = -1) or divides 2*P0 (c = -2, and a_{L-1} = 2*P0/Q_{-1}); the walk
+    then stops at the next centre, half a period on, and otherwise at the
+    second. Mirroring gives the rest. sqrt(D) has Q_{-1} = 1, so every
+    N*sqrt(d) walks half its period. A cycle with no centre closes on its
+    start. Every walked step keeps the lattice check.
     An expansion longer than its limit, MAX_WALK_STEPS // max(1, bits(D)//64)
     digits with mirrored ones included, raises ValueError naming it."""
     P, Q, D = x.P, x.Q, x.D
     s = math.isqrt(D)
     limit = MAX_WALK_STEPS // max(1, D.bit_length() // 64)
     digits: list[int] = []
-    start, P0, Q0 = -1, 0, 0  # Q is never 0, so no state matches until set
     for _ in range(limit):
-        if start < 0:
-            if _reduced(P, Q, s):
-                start, P0, Q0 = len(digits), P, Q
-            elif Q == 1:  # P + sqrt(D) with P != s; next comes (s, D - s*s)
-                digits.append(P + s)
-                start = len(digits)
-                period = _root_period(D, s, limit - start)
-                if period is None:
-                    break
-                digits += period
-                return digits, start, (s, D - s * s)
+        if _reduced(P, Q, s):
+            break
         a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
         digits.append(a)
         P = a * Q - P
@@ -207,45 +203,37 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
         if n % Q:
             raise InvariantError("state recursion left the integral lattice")
         Q = n // Q
-        if Q == Q0 and P == P0:
-            return digits, start, (P, Q)
-    raise ValueError(f"continued fraction period not closed within {limit} digits")
-
-
-def _root_period(D: int, s: int, limit: int) -> list[int] | None:
-    """The period a1 ... a_{L-1}, 2s of sqrt(D), s = isqrt(D), walking only
-    its first half; None when L > limit.
-
-    The period is a palindrome before its last digit, and so are its
-    states: from (P1, Q1) = (s, D - s*s), the k-th step of the walk returns
-    to (P1, Q1) exactly when L = k = 1, repeats P (P_{k+1} = P_k) exactly
-    when L = 2k, and repeats Q exactly when L = 2k + 1 (Perron, Die Lehre
-    von den Kettenbruechen). The digits a1 ... ak walked so far then give
-    the rest by mirroring. Every walked step keeps the lattice check. While
-    the walk has not stopped L >= 2k + 2, so it walks at most (limit + 1)//2
-    steps.
-    """
-    P1, Q1 = P, Q = s, D - s * s
-    half: list[int] = []
-    for _ in range((limit + 1) // 2):
+    start, P0, Q0 = len(digits), P, Q
+    Qm = (D - P * P) // Q  # Q_{-1} > 0, the cycle's last Q, if on the lattice
+    first = -1 if Qm == Q else -2 if Qm > 0 and 2 * P % Qm == 0 else None
+    budget = limit - start  # digits left for the period
+    for i in range(budget if first is None else (budget + 1) // 2):
         a = (P + s) // Q
-        half.append(a)
+        digits.append(a)
         Pn = a * Q - P
         n = D - Pn * Pn
         if n % Q:
             raise InvariantError("state recursion left the integral lattice")
         Qn = n // Q
-        if Pn == P1 and Qn == Q1:
-            period = half
-        elif Pn == P:
-            period = half + half[-2::-1] + [2 * s]
-        elif Qn == Q:
-            period = half + half[::-1] + [2 * s]
-        else:
-            P, Q = Pn, Qn
-            continue
-        return period if len(period) <= limit else None
-    return None
+        if Pn == P or Qn == Q:
+            c = 2 * i + (Pn != P)
+            if first is None:
+                first = c
+            elif c - first > budget:
+                break
+            else:
+                # a_j = a_{c-j} for j > i: a_{c-i-1} back to the digit after
+                # the first centre, or to a_0 when that centre precedes it.
+                # Indexed from the end, the stop passes the list's start only
+                # when there is no preperiod, and Python clamps it there.
+                digits += digits[-1 - (Pn == P) : max(first, -1) - i - 1 : -1]
+                if first == -2:
+                    digits.append(2 * P0 // Qm)
+                return digits, start, (P0, Q0)
+        elif Pn == P0 and Qn == Q0:
+            return digits, start, (P0, Q0)
+        P, Q = Pn, Qn
+    raise ValueError(f"continued fraction period not closed within {limit} digits")
 
 
 def cf_expand(x: Surd) -> CFExpansion:

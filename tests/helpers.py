@@ -131,6 +131,35 @@ def dict_state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     return digits, seen[(P, Q)], (P, Q)
 
 
+def cycle_states(x: Surd) -> list[tuple[int, int]]:
+    """The oracle's states (P_j, Q_j) of x's cycle for j = 0 .. L, from
+    its first reduced state round to that state again."""
+    digits, start, (P, Q) = dict_state_walk(x)
+    states = [(P, Q)]
+    for a in digits[start:]:
+        P = a * Q - P
+        Q = (x.D - P * P) // Q
+        states.append((P, Q))
+    return states
+
+
+def cycle_shape(x: Surd) -> str:
+    """Where the centres of symmetry of x's cycle lie, read off the oracle's
+    states: "q-before" when Q_{-1} = Q_0 (every period of length 1),
+    "p-before" when P_{-1} = P_0, "elsewhere" when some other
+    P_{j+1} = P_j or Q_{j+1} = Q_j, and "none"."""
+    states = cycle_states(x)
+    (P0, Q0), (Pm, Qm) = states[0], states[-2]
+    if Qm == Q0:
+        return "q-before"
+    if Pm == P0:
+        return "p-before"
+    pairs = zip(states, states[1:])
+    if any(P == Pn or Q == Qn for (P, Q), (Pn, Qn) in pairs):
+        return "elsewhere"
+    return "none"
+
+
 def mat_mul(A: Mat2, B: Mat2) -> Mat2:
     """The integer matrix product A*B."""
     return Mat2(

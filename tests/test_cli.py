@@ -12,6 +12,7 @@ import pytest
 from quadcf import experiments
 from quadcf.arith import InvariantError
 from quadcf.experiments import UsageError
+from quadcf.surd import make_surd
 import quadcf.cli as cli
 from quadcf import class_geodesics
 
@@ -262,8 +263,12 @@ def test_budgets_count_cost_so_large_inputs_are_refused_fast(capsys):
     # and so does what each budget charges for it
     radicand = random.Random(4000).randrange(10**3999, 10**4000)
     walk_limit = 10**6 // (radicand.bit_length() // 64)
+    # (1 + sqrt(radicand))/2, whose canonical surd sets the limit by its own D
+    half_limit = 10**6 // (make_surd(1, 1, radicand, 2).D.bit_length() // 64)
     for argv, seconds, message in [
         (["expand", "--d", str(radicand)], 2, f"not closed within {walk_limit} digits"),
+        (["expand", "--p", "1", "--q", "2", "--d", str(radicand)], 2,
+         f"not closed within {half_limit} digits"),
         (["unit", "--d", str(10**500 + 1)], 3, f"cannot factor {10**500 + 1} within"),
         (["unit", "--d", str(10**1000 + 1)], 5, f"cannot factor {10**1000 + 1} within"),
     ]:
@@ -405,6 +410,11 @@ PINNED_TABLES = {
     # N = 2 has period (1, 4): the 5-digit pattern spans three copies
     "converge --bound 200 --sequence integers --patterns 1;2;1,1;1,4,1,4,1":
         "06f254a3111297f821759b1e49cf99388baae6d02d9cbb7ef8741aa3ff124271",
+    # bases other than a pure root: N*(1+sqrt(5))/2 and N*(1+sqrt(7))/3
+    "converge --p 1 --d 5 --q 2 --bound 300":
+        "c9e311a99ab35726661e42850249815b9ab180f93122f204e5cdbbcf87b60fcc",
+    "converge --p 1 --d 7 --q 3 --bound 300":
+        "16801d69d8647f0bc223d29d2e8882935d98b9edabe3fc8e5f3a5880b263a7e3",
 }
 
 

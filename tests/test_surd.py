@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,15 @@ import quadcf.surd as surd
 from quadcf.arith import InvariantError, is_square
 from quadcf.surd import _state_walk
 from quadcf.quad_orders import surd_coords
-from helpers import cf_digits_of_fraction, dict_state_walk, random_surd, reduced_by_fractions, surd_fraction
+from helpers import (
+    cf_digits_of_fraction,
+    cycle_shape,
+    cycle_states,
+    dict_state_walk,
+    random_surd,
+    reduced_by_fractions,
+    surd_fraction,
+)
 
 
 def test_make_surd_rescales_when_divisibility_fails():
@@ -208,22 +217,47 @@ def test_purely_periodic_iff_reduced():
     assert 0 < seen_reduced < 400  # both branches exercised
 
 
+GOLDEN = make_surd(1, 1, 5, 2)  # (1 + sqrt(5))/2
+SQRT7_THIRD = make_surd(1, 1, 7, 3)  # (1 + sqrt(7))/3
+
+
+def multiples(x: Surd, count: int) -> list[Surd]:
+    """N*x for N = 1 .. count."""
+    return [scale(x, N) for N in range(1, count + 1)]
+
+
+def cycle_rotations(xs: list[Surd]) -> list[Surd]:
+    """Every state of each x's cycle, a purely periodic surd whose period
+    starts at another place."""
+    return [Surd(P, Q, x.D) for x in xs for P, Q in cycle_states(x)[:-1]]
+
+
 def test_state_walk_matches_dict_hashing_oracle():
     rng = random.Random(84)
-    negative_q = below_one = long_preperiod = 0
-    for _ in range(3000):
-        x = random_surd(rng, ms=(2, 3, 5, 6, 7, 13, 19, 43), span=120)
-        want = dict_state_walk(x)
+    randoms = [random_surd(rng, ms=(2, 3, 5, 6, 7, 13, 19, 43), span=120) for _ in range(3000)]
+    negative_q = sum(x.Q < 0 for x in randoms)
+    below_one = sum(surd_fraction(x) < 1 for x in randoms)
+    long_preperiod = 0
+    roots = [Surd(0, 1, D) for D in range(2, 300) if not is_square(D)]
+    xs = randoms + multiples(GOLDEN, 300) + multiples(SQRT7_THIRD, 300)
+    xs += cycle_rotations(roots + multiples(GOLDEN, 20) + multiples(SQRT7_THIRD, 20))
+    shapes, lengths = Counter(), Counter()
+    for k, x in enumerate(xs):
+        digits, start, _ = want = dict_state_walk(x)
         assert _state_walk(x) == want, x
-        negative_q += x.Q < 0
-        below_one += surd_fraction(x) < 1
-        long_preperiod += want[1] > 1
+        long_preperiod += k < len(randoms) and start > 1
+        shapes[cycle_shape(x), start > 0] += 1
+        lengths[len(digits) - start] += 1
     assert min(negative_q, below_one, long_preperiod) > 100
+    # every cycle shape, both at the input and after a preperiod
+    for shape in ("q-before", "p-before", "elsewhere", "none"):
+        assert shapes[shape, False] >= 5 and shapes[shape, True] >= 20, shape
+    assert lengths[1] >= 20 and lengths[2] >= 20
 
 
 def test_pure_root_half_walk_matches_the_general_walk():
-    # sqrt(D) written as sqrt(4D)/2 never has Q = 1, so it takes the full
-    # walk, whose states are those of sqrt(D) doubled
+    # sqrt(D) written as sqrt(4D)/2 never has Q = 1, and its states are
+    # those of sqrt(D) doubled, so it has the same centres and digits
     for D in range(2, 20_000):
         if is_square(D):
             continue
@@ -237,9 +271,51 @@ def test_pure_root_half_walk_matches_dict_hashing_oracle():
             assert _state_walk(Surd(0, 1, D)) == dict_state_walk(Surd(0, 1, D)), D
 
 
+class Counting(int):
+    """A radicand that counts its subtractions D - P*P: one per walked
+    digit, and one for the start test."""
+
+    uses = 0
+
+    def __sub__(self, other):
+        Counting.uses += 1
+        return int(self) - other
+
+
+def counted_walk(x: Surd) -> int:
+    y = tuple.__new__(Surd, (x.P, x.Q, Counting(x.D)))  # skips validation
+    Counting.uses = 0
+    assert _state_walk(y) == dict_state_walk(x), x
+    return Counting.uses
+
+
+def test_walk_stops_half_a_period_after_a_centre_before_the_start():
+    rng = random.Random(87)
+    centred = [Surd(0, 1, D) for D in range(2, 3000) if not is_square(D)]
+    centred += multiples(GOLDEN, 200)
+    others = multiples(SQRT7_THIRD, 200)
+    others += [random_surd(rng, ms=(2, 3, 5, 6, 7, 13, 19, 43), span=60) for _ in range(1000)]
+    shape_of = {x: cycle_shape(x) for x in centred + others}
+    # every sqrt(D) and every N*(1 + sqrt(5))/2 has a centre before its start
+    assert {shape_of[x] for x in centred} == {"q-before", "p-before"}
+    shapes = Counter(shape_of.values())
+    assert len(shapes) == 4 and min(shapes.values()) >= 50
+    for x, shape in shape_of.items():
+        digits, start, _ = dict_state_walk(x)
+        L = len(digits) - start
+        uses = counted_walk(x)
+        if shape in ("q-before", "p-before"):
+            assert uses <= start + L // 2 + 2, x
+        elif shape == "elsewhere":
+            assert uses - 1 < start + L, x  # stops at the second centre
+        else:
+            assert uses == start + 1 + L, x  # closes on its start
+
+
 def test_walk_reaching_q_one_after_a_preperiod():
-    # x = [c1; c2, ..., P + sqrt(D)]: the half walk starts one digit after
-    # the state P + sqrt(D), P != isqrt(D), at any depth of the preperiod.
+    # x = [c1; c2, ..., P + sqrt(D)]: the period starts one digit after the
+    # state P + sqrt(D), P != isqrt(D), at sqrt(D)'s first reduced state,
+    # at any depth of the preperiod.
     # Digits can be put in front of P + sqrt(D) only when it exceeds 1.
     rng = random.Random(85)
     for D in (2, 3, 7, 13, 19, 43, 94, 151, 331, 1000, 4097):
@@ -257,17 +333,33 @@ def test_walk_reaching_q_one_after_a_preperiod():
                 x = Surd(rng.randint(1, 5) * q - x.P, q, D)
 
 
-@pytest.mark.parametrize("D, L", [(2, 1), (3, 2), (7, 4), (13, 5)])
-def test_walk_budget_is_exact_at_both_parities(monkeypatch, D, L):
-    # sqrt(D) = [s; period of L digits]: the expansion takes L + 1 digits
-    x = Surd(0, 1, D)
-    monkeypatch.setattr(surd, "MAX_WALK_STEPS", L + 1)
+WALK_SHAPES = [
+    # sqrt(D) = [s; period of L digits], from its first reduced state
+    # (s, D - s*s): q-before for L = 1, p-before above
+    pytest.param(Surd(0, 1, 2), 1, 1, (1, 1), "q-before", id="2-1"),
+    pytest.param(Surd(0, 1, 3), 1, 2, (1, 2), "p-before", id="3-2"),
+    pytest.param(Surd(0, 1, 7), 1, 4, (2, 3), "p-before", id="7-4"),
+    pytest.param(Surd(0, 1, 13), 1, 5, (3, 4), "p-before", id="13-5"),
+    # one preperiod digit, then a cycle of each other shape
+    pytest.param(Surd(-44, 3, 13), 1, 5, (2, 3), "q-before", id="q-before-5"),
+    pytest.param(Surd(-56, 3, 7), 1, 4, (2, 1), "elsewhere", id="elsewhere-4"),
+    pytest.param(Surd(-39, 4, 13), 1, 5, (3, 1), "elsewhere", id="elsewhere-5"),
+    pytest.param(Surd(-132, 9, 288), 1, 4, (15, 7), "none", id="none-4"),
+    pytest.param(Surd(-240, 25, 325), 1, 3, (15, 4), "none", id="none-3"),
+]
+
+
+@pytest.mark.parametrize("x, pre, L, tail, shape", WALK_SHAPES)
+def test_walk_budget_is_exact_at_both_parities(monkeypatch, x, pre, L, tail, shape):
+    # the expansion takes pre + L digits, mirrored ones included
+    assert cycle_shape(x) == shape
+    monkeypatch.setattr(surd, "MAX_WALK_STEPS", pre + L)
     e = cf_expand(x)
-    assert len(e.preperiod) + len(e.period) == L + 1 and len(e.period) == L
-    assert periodic_tail(x) == Surd(math.isqrt(D), D - math.isqrt(D) ** 2, D)
-    monkeypatch.setattr(surd, "MAX_WALK_STEPS", L)
+    assert len(e.preperiod) == pre and len(e.period) == L
+    assert periodic_tail(x) == Surd(*tail, x.D)
+    monkeypatch.setattr(surd, "MAX_WALK_STEPS", pre + L - 1)
     for walk in (cf_expand, periodic_tail):
-        with pytest.raises(ValueError, match=f"within {L} digits"):
+        with pytest.raises(ValueError, match=f"within {pre + L - 1} digits"):
             walk(x)
 
 
@@ -284,14 +376,16 @@ def test_both_walks_keep_the_lattice_witness():
             Drifting.uses += 1
             return int(self) - other + (Drifting.uses > 1)
 
-    # (0 + sqrt(7))/3 is off the lattice: the full walk; sqrt(7): the half walk
-    for x in (unchecked(0, 3, 7), unchecked(0, 1, Drifting(7))):
+    # (0 + sqrt(7))/3 is off the lattice at its first step: the preperiod
+    # loop; sqrt(7) drifts after its first step: the periodic loop;
+    # (2 + sqrt(7))/4 is reduced but off the lattice: the periodic loop
+    for x in (unchecked(0, 3, 7), unchecked(0, 1, Drifting(7)), unchecked(2, 4, 7)):
         with pytest.raises(InvariantError, match="integral lattice"):
             _state_walk(x)
 
 
 def test_state_walk_stops_at_its_step_budget(monkeypatch):
-    x = make_surd(0, 1, 7, 1)  # sqrt(7) = [2; 1, 1, 1, 4]: five digits walked
+    x = make_surd(0, 1, 7, 1)  # sqrt(7) = [2; 1, 1, 1, 4]: five digits, two mirrored
     monkeypatch.setattr(surd, "MAX_WALK_STEPS", 5)
     assert cf_expand(x) == CFExpansion((2,), (1, 1, 1, 4))
     monkeypatch.setattr(surd, "MAX_WALK_STEPS", 4)
