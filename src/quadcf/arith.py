@@ -43,11 +43,6 @@ def is_square(n: int) -> bool:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DET_LIMIT = 3317044064679887385961981
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-# A composite with no prime factor in _SMALL_PRIMES is at least 101**2.
-_SMALL_PRIMES_DECIDE_BELOW = 101**2
-
 
 def primes_up_to(bound: int) -> list[int]:
     """The primes <= bound, ascending (sieve of Eratosthenes)."""
@@ -57,6 +52,11 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
     return [i for i in range(2, bound + 1) if sieve[i]]
+
+
+_SMALL_PRIMES = tuple(primes_up_to(97))
+# A composite with no prime factor in _SMALL_PRIMES is at least 101**2.
+_SMALL_PRIMES_DECIDE_BELOW = 101**2
 
 
 def _mr_witness(n: int, a: int) -> bool:
@@ -108,8 +108,6 @@ def _pollard_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     (1, steps taken) once more than budget steps would be needed. A step
     is one y -> y*y + c; each round of r steps is charged 2r up front,
     for the walk ahead and its batched gcds."""
-    if n % 2 == 0:
-        return 2, 0
     steps = 0
     while True:
         y = rng.randrange(1, n)
@@ -207,8 +205,6 @@ def factorize(n: int) -> Factorization:
         stack = [m]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

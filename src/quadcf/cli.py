@@ -235,7 +235,7 @@ def _add_surd_flags(sp) -> None:
 
 
 def _add_scan_flags(sp) -> None:
-    sp.add_argument("--sequence", choices=("integers", "primes"))
+    sp.add_argument("--sequence", metavar="{integers,primes}")
     sp.add_argument("--bound", type=int)
     sp.add_argument("--coprime-filter", type=int)
     sp.add_argument("--workers", type=int)

@@ -318,9 +318,9 @@ def artin_scan(cfg: ScanConfig) -> list[OrderRecord]:
     return run_items(_artin_item, ctx, sequence_values(cfg), cfg.workers)
 
 
-def artin_stats(records: list[OrderRecord], thresholds=(0.7, 0.8, 0.9)) -> dict:
+def artin_stats(records: list[OrderRecord]) -> dict:
     densities = {}
-    for theta in thresholds:
+    for theta in (0.7, 0.8, 0.9):
         hits = sum(1 for r in records if r.ord >= r.N**theta)
         densities[theta] = hits / len(records)
     primes = [r for r in records if r.split_type != COMPOSITE]

@@ -158,19 +158,6 @@ def mat_order_mod(M: Mat2, N: int) -> int:
     return o
 
 
-def max_element_order(f: FieldData, p: int) -> int:
-    """Largest order the fundamental unit can have mod an odd unramified
-    prime: p-1 split; inert, p+1 for norm +1 and 2(p+1) for norm -1."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    k = kronecker(f.D, p)
-    if k == 0:
-        raise ValueError(f"{p} is ramified")
-    if k == 1:
-        return p - 1
-    return p + 1 if f.unit_norm == 1 else 2 * (p + 1)
-
-
 class OrderRecord(checked_record("OrderRecord", "N ord exponent split_type is_max")):
     """exponent = ln(ord)/ln(N); is_max for odd unramified primes, else None."""
 
@@ -185,13 +172,12 @@ class OrderRecord(checked_record("OrderRecord", "N ord exponent split_type is_ma
 def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:
     o = mat_order_mod(M, N)
     exponent = math.log(o) / math.log(N)
+    split_type, is_max = COMPOSITE, None
     if is_prime(N):
         k = kronecker(f.D, N)
         split_type = SPLIT if k == 1 else INERT if k == -1 else RAMIFIED
-        is_max = None
-        if N != 2 and k != 0:
-            is_max = o == max_element_order(f, N)
-    else:
-        split_type, is_max = COMPOSITE, None
+        if N != 2 and k:
+            # the largest order the unit can have mod N: N - 1 split; inert,
+            # N + 1 for norm +1 and 2(N + 1) for norm -1
+            is_max = o == (N - 1 if k == 1 else N + 1 if f.unit_norm == 1 else 2 * (N + 1))
     return OrderRecord(N, o, exponent, split_type, is_max)
-

@@ -124,8 +124,8 @@ def alg_pow(f: FieldData, u: AlgInt, k: int) -> AlgInt:
     return r
 
 
-def alg_value(f: FieldData, u: AlgInt, bits: int = 96) -> Fraction:
-    return u.a + u.b * eval_approx(f.xD, bits)
+def alg_value(f: FieldData, u: AlgInt) -> Fraction:
+    return u.a + u.b * eval_approx(f.xD, 96)
 
 
 def _log_value(xD: Surd, u: AlgInt) -> float:
@@ -214,8 +214,6 @@ def _least_unit_power(f: FieldData, N: int, accept) -> int:
     """Least k >= 1 with accept(phi(epsD)^k mod N, N). The accepted k form
     a subgroup of Z containing the matrix order, so the least one is
     stripped out of that order."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if N == 1:
         return 1
     M = phi(f, f.epsD)

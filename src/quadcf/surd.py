@@ -61,13 +61,11 @@ def make_surd(p: int, r: int, d: int, q: int) -> Surd:
     return Surd(P, Q, D)
 
 
-def scale(x: Surd, num: int, den: int = 1) -> Surd:
-    """The surd (num/den) * x."""
-    if num == 0:
+def scale(x: Surd, n: int) -> Surd:
+    """The surd n * x."""
+    if n == 0:
         raise ValueError("scaling by zero gives a rational")
-    if den <= 0:
-        raise ValueError("den must be positive")
-    return make_surd(num * x.P, num, x.D, den * x.Q)
+    return make_surd(n * x.P, n, x.D, x.Q)
 
 
 def mobius(x: Surd, a: int, b: int, c: int) -> Surd:
@@ -119,7 +117,7 @@ def is_reduced(x: Surd) -> bool:
     return _reduced(x.P, x.Q, math.isqrt(x.D))
 
 
-def eval_approx(x: Surd, bits: int = 53) -> Fraction:
+def eval_approx(x: Surd, bits: int) -> Fraction:
     """Rational approximation with relative error below 2**-bits."""
     if bits < 1:
         raise ValueError("bits must be positive")

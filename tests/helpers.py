@@ -342,3 +342,18 @@ def _jacobi_odd(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def max_element_order(f, p: int) -> int:
+    """Largest order the fundamental unit can have mod an odd unramified
+    prime p, with the symbol from jacobi and the unit's norm from
+    element_norm: p - 1 split; inert, p + 1 for norm +1 and 2(p + 1) for
+    norm -1."""
+    if p == 2 or trial_factor(p) != {p: 1}:
+        raise ValueError("p must be an odd prime")
+    k = jacobi(f.D, p)
+    if k == 0:
+        raise ValueError(f"{p} is ramified")
+    if k == 1:
+        return p - 1
+    return p + 1 if element_norm(f, f.epsD) == 1 else 2 * (p + 1)

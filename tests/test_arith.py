@@ -135,12 +135,20 @@ def test_factorize_rejects_nonpositive():
             factorize(n)
 
 
+def assert_left_by_trial_division(m):
+    # _pollard_brent has no even-n case: factorize hands it only cofactors
+    # that are odd and have no prime factor up to the trial bound 10**4
+    assert m % 2 == 1, m
+    assert all(m % p for p in sieve_primes(10**4)), m
+
+
 def test_factorize_budget_counts_every_pollard_run(monkeypatch):
     # three primes above the trial bound: two Pollard runs, of 254 and 510 steps
     n = 1000003 * 1000033 * 1000037
     real, runs = arith._pollard_brent, []
 
     def counting(m, rng, budget):
+        assert_left_by_trial_division(m)
         g, steps = real(m, rng, budget)
         runs.append(steps)
         return g, steps
@@ -162,6 +170,7 @@ def test_factorize_budget_charges_each_step_per_64_bit_word(monkeypatch):
     real, runs = arith._pollard_brent, []
 
     def counting(m, rng, budget):
+        assert_left_by_trial_division(m)
         g, steps = real(m, rng, budget)
         runs.append((m.bit_length(), budget, steps))
         return g, steps

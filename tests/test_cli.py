@@ -128,6 +128,32 @@ def test_artin_csv(capsys):
     assert first[4] == ""  # p = 2 carries no maximality verdict
 
 
+def test_artin_summary_lines(capsys):
+    # recorded before artin classified each prime once
+    assert run(["artin", "--d", "5", "--sequence", "integers", "--bound", "100",
+                "--summary", "-"]) == 0
+    assert capsys.readouterr().err == (
+        "density ord>=N^0.7: 0.989899\n"
+        "density ord>=N^0.8: 0.949495\n"
+        "density ord>=N^0.9: 0.858586\n"
+        "prime is_max density: 0.800000\n"
+        "exceptions ord<N^0.8: 29 38 55 72 76\n"
+    )
+
+
+@pytest.mark.parametrize("value, flags", [
+    ("yes", ["--fundamental-only"]),
+    ("0", []),
+])
+def test_config_booleans_match_the_flag(value, flags, tmp_path):
+    cfgfile = tmp_path / "scan.cfg"
+    cfgfile.write_text(f"fundamental_only = {value}\n")
+    by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert run(["duke", "--max", "60", "--config", str(cfgfile), "--output", str(by_file)]) == 0
+    assert run(["duke", "--max", "60", *flags, "--output", str(by_flag)]) == 0
+    assert by_file.read_text() == by_flag.read_text()
+
+
 def test_duke_fundamental_only(capsys):
     rc = run(["duke", "--min", "5", "--max", "21", "--fundamental-only"])
     assert rc == 0
@@ -181,7 +207,7 @@ def test_exit_code_2_on_bad_usage(capsys):
         ["converge", "--bound", "1"],          # bound too small
         ["converge", "--patterns", "0"],       # digit below 1
         ["converge", "--workers", "0"],
-        ["converge", "--sequence", "odds"],    # rejected by argparse
+        ["converge", "--sequence", "odds"],    # refused by validate_config
         ["artin", "--d", "18"],                # not a field label
         ["duke", "--min", "10", "--max", "5"],
         ["classno", "--disc", "7"],
@@ -233,6 +259,8 @@ def test_refusals_name_their_limit(capsys):
         (["converge", "--d", FLOAT_OVERFLOW_RADICANDS[0], "--bound", "3"], "too large for a float"),
         (["unit", "--d", "5", "--conductor", "1000000000000000001"],
          "--conductor must be <= 1000000000000000000"),
+        (["converge", "--sequence", "odds"], "error: unknown sequence 'odds'"),
+        (["artin", "--sequence", "odds"], "error: unknown sequence 'odds'"),
     ]:
         assert run(argv) == 2, argv
         assert limit in capsys.readouterr().err, argv

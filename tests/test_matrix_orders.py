@@ -11,9 +11,8 @@ from quadcf.matrix_orders import (
     SPLIT,
     OrderRecord,
     mat_order_mod,
-    max_element_order,
 )
-from quadcf import matrix_orders
+from quadcf import arith, matrix_orders
 from quadcf.arith import InvariantError, factorize
 from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, field_data, phi
@@ -21,10 +20,13 @@ from quadcf.matrix_orders import _mat_pow_mod, _prime_power_order
 from helpers import (
     brute_mat_order,
     brute_pisano,
+    jacobi,
+    max_element_order,
     repeated_mat_product,
     ring_order_mod,
     sieve_primes,
     square_multiply_mat_pow,
+    trial_factor,
 )
 
 FIB_MATRIX = Mat2(0, 1, 1, 1)
@@ -247,6 +249,45 @@ def test_order_bound_holds_for_all_odd_unramified_primes():
                 continue
             o = mat_order_mod(M, p)
             assert max_element_order(f, p) % o == 0, (d, p)
+
+
+@pytest.mark.parametrize("sequence", ["integers", "primes"])
+def test_artin_rows_match_the_jacobi_oracle(sequence):
+    # split_type from jacobi, is_max against the oracle's largest order:
+    # None at N = 2, at ramified primes and at composites
+    seen = set()
+    for d in (5, 8, 12, 13, 85):
+        f = field_data(d)
+        for r in artin_scan(ScanConfig(d=d, sequence=sequence, bound=3000)):
+            if trial_factor(r.N) != {r.N: 1}:
+                want = (COMPOSITE, None)
+            else:
+                k = jacobi(f.D, r.N)
+                split = {1: SPLIT, -1: INERT, 0: RAMIFIED}[k]
+                want = (split, None if r.N == 2 or k == 0 else r.ord == max_element_order(f, r.N))
+            assert (r.split_type, r.is_max) == want, (d, r)
+            seen.add((d, want))
+    # both verdicts in each field, inert primes of either unit norm among them
+    for d in (5, 8, 12, 13, 85):
+        assert {(d, (s, m)) for s in (SPLIT, INERT) for m in (True, False)} <= seen, d
+    assert {(5, (INERT, None)), (5, (RAMIFIED, None)), (85, (RAMIFIED, None))} <= seen
+    assert ((5, (COMPOSITE, None)) in seen) == (sequence == "integers")
+
+
+def test_artin_scan_tests_each_n_for_primality_once(monkeypatch):
+    calls = []
+    real = matrix_orders.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(matrix_orders, "is_prime", counting)
+    monkeypatch.setattr(arith, "is_prime", counting)
+    for sequence, ns in (("integers", list(range(2, 501))), ("primes", sieve_primes(500))):
+        calls.clear()
+        artin_scan(ScanConfig(d=5, sequence=sequence, bound=500))
+        assert calls == ns, sequence
 
 
 def test_order_divisibility_along_divisors():

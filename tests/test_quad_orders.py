@@ -24,7 +24,7 @@ from quadcf.quad_orders import (
     surd_coords,
     unit_group_index,
 )
-from quadcf.surd import make_surd, periodic_tail, scale
+from quadcf.surd import make_surd, mobius, periodic_tail, scale
 from helpers import brute_pell, element_norm, frac_sqrt, mat_mod, mat_mul, random_surd
 
 SQUAREFREE_TO_60 = [
@@ -165,6 +165,14 @@ def test_unit_group_index_frozen_values():
     assert unit_group_index(field_data(5), 1) == 1
 
 
+def test_unit_indices_refuse_n_below_one():
+    # mat_order_mod's own check refuses it: _least_unit_power has none
+    for index in (unit_group_index, R_of):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                index(field_data(5), n)
+
+
 def test_unit_group_index_random_against_brute():
     rng = random.Random(35)
     for _ in range(80):
@@ -211,7 +219,7 @@ def test_conductor_frozen_values():
     assert conductor_of_surd(f2, make_surd(1, 1, 2, 5)) == 5
     f5 = field_data(5)
     assert conductor_of_surd(f5, f5.xD) == 1
-    assert conductor_of_surd(f5, scale(f5.xD, 1, 5)) == 5  # xD / 5
+    assert conductor_of_surd(f5, mobius(f5.xD, 1, 0, 5)) == 5  # xD / 5
     with pytest.raises(ValueError):
         conductor_of_surd(f2, f5.xD)
 

@@ -167,7 +167,8 @@ def test_scale_and_mobius_track_float_arithmetic():
         x = random_surd(rng)
         n = rng.randint(1, 30)
         d = rng.randint(1, 9)
-        assert abs(float(scale(x, n, d)) - float(x) * n / d) < 1e-9
+        assert abs(float(scale(x, n)) - float(x) * n) < 1e-9
+        assert abs(float(mobius(x, n, 0, d)) - float(x) * n / d) < 1e-9
         a, b, c = rng.randint(-9, 9) or 1, rng.randint(-20, 20), rng.randint(1, 9)
         assert abs(float(mobius(x, a, b, c)) - (a * float(x) + b) / c) < 1e-9
     with pytest.raises(ValueError):
