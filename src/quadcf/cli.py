@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 on success, 2 on bad usage, bad input values or an early-closed
-stdout, 3 when an internal consistency check fails (a bug, not a user error).
+Exit codes: 0 on success, 2 on bad usage, bad input values or a standard
+stream that cannot take the output (closed, full, or its reader gone), 3 when
+an internal consistency check fails (a bug, not a user error).
 
 Scan commands accept ``--config FILE`` with flat ``key = value`` lines;
 explicit command line flags override file entries.
@@ -122,11 +123,14 @@ def cmd_expand(args) -> int:
     x = make_surd(args.p, args.r, args.d, args.q)
     e = cf_expand(x)
     digits = e.digits(args.convergents)  # a negative K fails before any output
-    print("preperiod:", " ".join(map(str, e.preperiod)))
-    print("period:", " ".join(map(str, e.period)))
-    print("period_length:", e.period_length)
+    lines = [
+        f"preperiod: {' '.join(map(str, e.preperiod))}",
+        f"period: {' '.join(map(str, e.period))}",
+        f"period_length: {e.period_length}",
+    ]
     if digits:
-        print("convergents:", " ".join(f"{p}/{q}" for p, q in convergents(digits)))
+        lines.append("convergents: " + " ".join(f"{p}/{q}" for p, q in convergents(digits)))
+    emit("".join(line + "\n" for line in lines), None)
     return 0
 
 
@@ -182,7 +186,7 @@ def cmd_scan(args) -> int:
     emit(render_table(spec.row_type, rows, fmt), output)
     if summary is not None:
         lines = spec.summary_lines(spec.stats(rows))
-        emit("\n".join(lines) + "\n", None if summary == "-" else summary, sys.stderr)
+        emit("\n".join(lines) + "\n", None if summary == "-" else summary, "stderr")
     return 0
 
 
@@ -202,11 +206,12 @@ def cmd_unit(args) -> int:
         ) from None
     except OverflowError:
         raise UsageError("fundamental unit is too large for a float value") from None
-    print(line)
+    emit(line + "\n", None)
     if o.f > 1:
-        print(
+        emit(
             f"conductor={o.f} disc={o.disc} unit_index={unit_group_index(f, o.f)} "
-            f"pm_index={R_of(f, o.f)} order_regulator={regulator_of_order(o)!r}"
+            f"pm_index={R_of(f, o.f)} order_regulator={regulator_of_order(o)!r}\n",
+            None,
         )
     return 0
 
@@ -218,9 +223,10 @@ def cmd_classno(args) -> int:
         tl = _total_length(args.disc, h)
     except InvariantError as e:  # named as the duke runner names a failing item
         raise InvariantError(f"disc={args.disc}: {e}") from e
-    print(
+    emit(
         f"disc={args.disc} h={tl.h} reduced_forms={nred} reg={tl.reg!r} "
-        f"total_length={tl.total_length!r} exponent={tl.exponent!r}"
+        f"total_length={tl.total_length!r} exponent={tl.exponent!r}\n",
+        None,
     )
     return 0
 
@@ -301,6 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(message: str) -> None:
+    if sys.stderr is not None:  # closed at start-up: stdout never stands in for it
+        print(message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -308,21 +319,30 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader gone before the end is caught here, not at exit
-        return code
+        return args.func(args)
     except InvariantError as e:
-        print(f"internal invariant violated: {e}", file=sys.stderr)
+        _report(f"internal invariant violated: {e}")
         return 3
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _report(f"error: {e}")
         return 2
-    except BrokenPipeError:
-        # what stdout still buffers goes nowhere, so the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output closed early", file=sys.stderr)
-        return 2
+
+
+def run() -> None:
+    """Entry point of the quadcf script and of python -m quadcf.cli: main(),
+    then flush stdout and stderr and leave by os._exit, skipping the
+    interpreter's teardown (mostly garbage collection passes over what
+    start-up made). A flush that fails exits 120, as the interpreter's own
+    exit does; an exception that escapes main() unwinds as usual."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
-import statistics
 import sys
 from typing import NamedTuple
 
@@ -260,6 +258,8 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
 def converge_stats(rows: list[DeviationRow]) -> dict:
     """Per-pattern dyadic medians, the log-log least-squares decay fit, and
     the fraction of N beating the half-power of the fitted rate."""
+    import statistics  # loaded by --summary only, not by every start-up
+
     out: dict = {}
     for label in dict.fromkeys(r.pattern for r in rows):
         rs = [r for r in rows if r.pattern == label]
@@ -385,6 +385,8 @@ def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[Tota
 
 
 def duke_stats(rows: list[TotalLength]) -> dict:
+    import statistics  # loaded by --summary only, not by every start-up
+
     blocks: dict[int, dict] = {}
     for k in sorted({r.disc.bit_length() - 1 for r in rows}):
         exps = [r.exponent for r in rows if r.disc.bit_length() - 1 == k]
@@ -431,14 +433,31 @@ def render_table(row_type: type, rows: list, fmt: str) -> str:
         for row in rows:
             writer.writerow(map(_fmt, row))
         return buf.getvalue()
+    import json  # loaded by JSON output only, not by every start-up
+
     return json.dumps([row._asdict() for row in rows], indent=2, allow_nan=True) + "\n"
 
 
-def emit(text: str, path: str | None, default_stream=None) -> None:
-    """Write text to path, or to default_stream (stdout) when path is empty."""
+def emit(text: str, path: str | None, stream: str = "stdout") -> None:
+    """Write text to path, or when path is empty to the standard stream
+    sys.<stream> ("stdout" or "stderr"), flushed. A stream that is None
+    (closed at start-up) or cannot take the text raises UsageError; the other
+    stream never stands in for it."""
     if not path:
-        # line by line: one large write that a closing pipe cuts short may not raise
-        (default_stream or sys.stdout).writelines(text.splitlines(True))
+        name = {"stdout": "standard output", "stderr": "standard error"}[stream]
+        out = getattr(sys, stream)
+        if out is None:
+            raise UsageError(f"{name} is closed")
+        try:
+            # line by line: one large write that a closing pipe cuts short may not raise
+            out.writelines(text.splitlines(True))
+            out.flush()
+        except OSError as e:
+            # what the stream still buffers goes nowhere, so the flush at exit cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            if isinstance(e, BrokenPipeError):
+                raise UsageError(f"{name} closed early") from None
+            raise UsageError(f"cannot write {name}: {e.strerror or e}") from None
         return
     try:
         with open(path, "w") as fh:

@@ -1,3 +1,5 @@
+import ast
+import errno
 import hashlib
 import json
 import os
@@ -128,17 +130,21 @@ def test_artin_csv(capsys):
     assert first[4] == ""  # p = 2 carries no maximality verdict
 
 
+# recorded before artin classified each prime once
+ARTIN_SUMMARY_ARGV = ["artin", "--d", "5", "--sequence", "integers", "--bound", "100",
+                      "--summary", "-"]
+ARTIN_SUMMARY = (
+    "density ord>=N^0.7: 0.989899\n"
+    "density ord>=N^0.8: 0.949495\n"
+    "density ord>=N^0.9: 0.858586\n"
+    "prime is_max density: 0.800000\n"
+    "exceptions ord<N^0.8: 29 38 55 72 76\n"
+)
+
+
 def test_artin_summary_lines(capsys):
-    # recorded before artin classified each prime once
-    assert run(["artin", "--d", "5", "--sequence", "integers", "--bound", "100",
-                "--summary", "-"]) == 0
-    assert capsys.readouterr().err == (
-        "density ord>=N^0.7: 0.989899\n"
-        "density ord>=N^0.8: 0.949495\n"
-        "density ord>=N^0.9: 0.858586\n"
-        "prime is_max density: 0.800000\n"
-        "exceptions ord<N^0.8: 29 38 55 72 76\n"
-    )
+    assert run(ARTIN_SUMMARY_ARGV) == 0
+    assert capsys.readouterr().err == ARTIN_SUMMARY
 
 
 @pytest.mark.parametrize("value, flags", [
@@ -409,7 +415,9 @@ def test_exit_code_2_when_stdout_closes_early(argv):
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
-    code = "import sys, quadcf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # json and statistics load only where --format json and --summary use them
+    code = ("import sys, quadcf.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json', 'statistics'} & set(sys.modules)))")
     res = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
@@ -451,3 +459,93 @@ def test_small_tables_match_pinned_hashes(command, tmp_path):
     out = tmp_path / "table"
     assert run(command.split() + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TABLES[command]
+
+
+def _cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
+    # stdout buffered, as by default, so output left unflushed at exit is lost
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "quadcf.cli", *argv], env=env,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TABLES))
+def test_small_tables_match_pinned_hashes_through_the_process_exit(command):
+    # stdout on a pipe: the bytes must all be flushed before the process leaves
+    res = _cli_process(command.split(), capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout).hexdigest() == PINNED_TABLES[command]
+
+
+def test_artin_summary_through_the_process_exit():
+    res = _cli_process(ARTIN_SUMMARY_ARGV, capture_output=True, text=True)
+    assert res.returncode == 0
+    assert res.stderr == ARTIN_SUMMARY
+
+
+def test_console_script_runs_what_the_main_block_runs():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    entry = stmt.value.func.id
+    assert ast.unparse(stmt) == f"{entry}()"
+    assert scripts == {"quadcf": f"quadcf.cli:{entry}"}
+
+
+def test_entry_skips_teardown_but_not_a_traceback():
+    register = "import atexit, sys, quadcf.cli as cli; atexit.register(print, 'teardown ran'); "
+    res = subprocess.run(
+        [sys.executable, "-c", register + "sys.argv[1:] = ['expand', '--d', '2']; cli.run()"],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (0, "preperiod: 1\nperiod: 2\nperiod_length: 1\n")
+    res = subprocess.run(
+        [sys.executable, "-c", register + "cli.main = lambda: 1 // 0; cli.run()"],
+        env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1
+    assert res.stdout == "teardown ran\n"
+    assert "Traceback" in res.stderr and "ZeroDivisionError" in res.stderr
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["artin", "--bound", "10"], ["expand", "--d", "2"]])
+def test_exit_code_2_when_stdout_is_full(argv):
+    with open("/dev/full", "w") as full:
+        res = _cli_process(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert res.returncode == 2
+    assert res.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@needs_dev_full
+def test_failed_flush_at_exit_exits_120():
+    # argparse ignores a failed write of --help, so the help still buffered
+    # fails at the last flush, with the status the interpreter's exit gives
+    with open("/dev/full", "w") as full:
+        res = _cli_process(["--help"], stdout=full, stderr=subprocess.PIPE)
+    assert res.returncode == 120
+
+
+def test_closed_stdout_fails_only_a_command_that_writes_to_it(tmp_path, capsys):
+    res = _cli_process(["expand", "--d", "2"], preexec_fn=lambda: os.close(1),
+                       stderr=subprocess.PIPE, text=True)
+    assert (res.returncode, res.stderr) == (2, "error: standard output is closed\n")
+    out = tmp_path / "f.csv"
+    res = _cli_process(["artin", "--bound", "6", "--output", str(out)], preexec_fn=lambda: os.close(1),
+                       stderr=subprocess.PIPE, text=True)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert run(["artin", "--bound", "6"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_closed_stderr_never_sends_the_summary_to_stdout(capsys):
+    res = _cli_process(["artin", "--bound", "6", "--summary", "-"], preexec_fn=lambda: os.close(2),
+                       stdout=subprocess.PIPE, text=True)
+    assert res.returncode == 2  # the summary has nowhere to go
+    assert run(["artin", "--bound", "6"]) == 0
+    assert res.stdout == capsys.readouterr().out
