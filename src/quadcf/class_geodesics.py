@@ -14,6 +14,7 @@ positive units): equal to it when N(eps) = +1, twice it when N(eps) = -1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -62,93 +63,87 @@ class IndefForm(checked_record("IndefForm", "a b c")):
         return _reduced(self.b, 2 * abs(self.a), _check_disc(self.disc))
 
 
-def _factor_products(disc: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """(b, m, factors) with m = (disc - b^2)/4 = product of p**e over the
-    factors, p ascending, for every b <= isqrt(disc) with b = disc mod 2,
-    b ascending, from one sieve over the polynomial.
-
-    With b = b0 + 2i, m is a quadratic in i. An odd prime p divides it
-    exactly when b = +-sqrt(disc) mod p, i.e. for i in at most two classes
-    mod p; for p = 2 the class is read off i = 0 and i = 1. Every prime up
-    to the square root of the largest m is divided out of its classes, all
-    of its powers, so what is left of each m is 1 or a prime.
-    """
-    s = _check_disc(disc)
-    bs = range(2 - disc % 2, s + 1, 2)
-    rest = [(disc - b * b) // 4 for b in bs]
-    factors: list[list[tuple[int, int]]] = [[] for _ in bs]
-    n, b0 = len(bs), bs[0]
-    for p in primes_up_to(math.isqrt(rest[0])):
-        if p == 2:
-            starts = [i for i in range(min(2, n)) if rest[i] % 2 == 0]
-        else:
-            r = sqrt_mod(disc, p)
-            if r is None:
-                continue
-            half = (p + 1) // 2  # 1/2 mod p
-            starts = {(r - b0) * half % p, (-r - b0) * half % p}
-        for start in starts:
-            for i in range(start, n, p):
-                v, e = rest[i], 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                if not e:
-                    raise InvariantError(f"sieve: {p} does not divide the value at b={bs[i]}")
-                rest[i] = v
-                factors[i].append((p, e))
-    for i, b in enumerate(bs):
-        fs, factors[i] = factors[i], None  # each list is freed once yielded
-        if rest[i] > 1:
-            fs.append((rest[i], 1))
-        m = (disc - b * b) // 4
-        check = 1
-        for p, e in fs:
-            check *= p**e
-        if check != m:
-            raise InvariantError(f"sieved factorization of {m} does not multiply back")
-        yield b, m, fs
-
-
 # Largest isqrt(disc) whose window divisors come from trial division rather
-# than the sieve: below it a window holds too few candidates (about
-# 0.14 * isqrt(disc) per b) to pay for a root per prime and a factor list
-# per b.
+# than the root walk: below it a window holds too few candidates (about
+# 0.14 * isqrt(disc) per b) to pay for a root class per prime power.
 TRIAL_DIVISION_MAX_ROOT = 512
 
 
 def _window_divisors_by_trial(disc: int, s: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(b, m, ds) for reduced_forms: every d in [lo, isqrt(m)] is tried."""
+    """(b, m, ds) for reduced_forms: every d in [lo, isqrt(m)] is tried, and
+    each one kept brings its partner m/d."""
     for b in range(2 - disc % 2, s + 1, 2):
         m = (disc - b * b) // 4
         ds = [d for d in range((s + 2 - b) // 2, math.isqrt(m) + 1)
               if m % d == 0 and math.gcd(d, b, m // d) == 1]
         if ds:
-            yield b, m, ds
+            yield b, m, ds + [m // d for d in reversed(ds) if d * d != m]
 
 
-def _window_divisors_by_sieve(disc: int, s: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(b, m, ds) for reduced_forms: the divisors of m up to isqrt(m) are
-    built from the factor list _factor_products gives, and those from lo
-    up are kept."""
-    for b, m, factors in _factor_products(disc):
-        lo = (s + 2 - b) // 2
-        r = math.isqrt(m)
-        small = [1]  # the divisors of m up to r, built prime power by prime power
-        for p, e in factors:
-            if p > r:
-                break  # the primes ascend: no later power is small
-            block, q = [], 1
-            for _ in range(e):
-                q *= p
-                if q > r:
+def _prime_power_classes(disc: int, p: int, bound: int) -> list[tuple[int, list[int]]]:
+    """[(q, classes)] for the powers q = p^e <= bound, up to the first with no
+    class: the b mod 2q with b^2 = disc mod 4q, that is b mod q with
+    b^2 = disc mod q for odd p, and b mod 2^(e+1) with b^2 = disc mod 2^(e+2)
+    for p = 2, whose list starts at q = 1. Each power is lifted from the one
+    before by trying its p candidates."""
+    if p == 2:
+        w, q, classes = 2, 1, [disc % 2]
+    else:
+        r = sqrt_mod(disc, p)
+        if r is None:
+            return []
+        w, q, classes = 1, p, sorted({r, -r % p})
+    out = [(q, classes)]
+    while q * p <= bound:
+        mod, q = w * q, q * p
+        classes = [c for r in classes for c in range(r, w * q, mod) if (c * c - disc) % (w * w * q) == 0]
+        if not classes:
+            break
+        out.append((q, classes))
+    return out
+
+
+def _window_divisors_by_roots(disc: int, s: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(b, m, ds) for reduced_forms, from the root classes of each a <= s.
+
+    The reduced surd (b + sqrt(disc))/(2a) is one class b mod 2a of
+    b^2 = disc mod 4a (Cohen, GTM 138, 1.5), and its b is the class's one
+    member in (s - 2a, s], kept when 2a <= b + s. A depth-first walk over
+    a by ascending primes joins the prime-power classes by CRT; a power
+    with no class ends its branch. Each kept (b, a) is packed as
+    b*(s+1) + a, and the keys are sorted once and grouped by b."""
+    primes = primes_up_to(s)
+    powers = [_prime_power_classes(disc, p, s) for p in primes]
+    keys: list[int] = []
+    w = s + 1
+
+    def walk(a: int, classes: list[int], i: int) -> None:
+        two_a = 2 * a
+        for r in classes:
+            b = s - (s - r) % two_a
+            if two_a <= b + s:
+                c, rem = divmod(disc - b * b, 2 * two_a)
+                if rem:
+                    raise InvariantError(f"root walk: 4*{a} does not divide {disc} - {b}^2")
+                if math.gcd(a, b, c) == 1:
+                    keys.append(b * w + a)
+        for j in range(i, len(primes)):
+            if a * primes[j] > s:
+                break
+            for q, roots in powers[j]:
+                if a * q > s:
                     break
-                cap = r // q
-                block += [d * q for d in small if d <= cap]
-            small += block
-        ds = [d for d in small if d >= lo and math.gcd(d, b, m // d) == 1]
-        if ds:
-            yield b, m, ds
+                inv = pow(two_a, -1, q)
+                walk(a * q, [r + two_a * ((t - r) * inv % q) for r in classes for t in roots], j + 1)
+
+    for a, classes in powers[0]:  # the powers of 2, from 2^0
+        walk(a, classes, 1)
+    del primes, powers
+    keys.append(w * w)  # above every key: the sentinel that ends the pops
+    keys.sort(reverse=True)
+    # popped in ascending order, so each key is freed as its forms are built
+    for b, group in itertools.groupby(iter(keys.pop, w * w), w.__rfloordiv__):
+        yield b, (disc - b * b) // 4, [k - b * w for k in group]
 
 
 def reduced_forms(disc: int) -> list[IndefForm]:
@@ -158,12 +153,11 @@ def reduced_forms(disc: int) -> list[IndefForm]:
     b runs over its parity class up to isqrt(disc); for each b the product
     a*c = (b^2 - disc)/4 is negative, and |a| must be a divisor of its
     absolute value m inside the window ((sqrt(disc)-b)/2, (sqrt(disc)+b)/2).
-    The window's ends multiply to m, so a divisor d is inside it exactly
-    when m/d is: the window divisors come in pairs (d, m/d), and only the
-    divisors d <= isqrt(m), i.e. d in [lo, isqrt(m)] with lo the window's
-    least integer, are found. Up to isqrt(disc) = TRIAL_DIVISION_MAX_ROOT
-    each candidate d is tried by division; above it the divisors are built
-    from the factor lists of one sieve over all b. Both signs of a occur.
+    Up to isqrt(disc) = TRIAL_DIVISION_MAX_ROOT each candidate d is tried
+    by division: the window's ends multiply to m, so a divisor d is inside
+    it exactly when m/d is, and only the d in [lo, isqrt(m)], lo the
+    window's least integer, are tried. Above it the window divisors come
+    from the root classes of b^2 = disc mod 4|a|. Both signs of a occur.
     Imprimitive forms (g = gcd(a,b,c) > 1, which exist only when g^2
     divides disc) belong to disc/g^2 and are skipped. The forms are checked
     once per discriminant: each is built unchecked, since the exact
@@ -173,11 +167,9 @@ def reduced_forms(disc: int) -> list[IndefForm]:
     if s <= TRIAL_DIVISION_MAX_ROOT:
         windows = _window_divisors_by_trial(disc, s)
     else:
-        windows = _window_divisors_by_sieve(disc, s)
+        windows = _window_divisors_by_roots(disc, s)
     forms: list[IndefForm] = []
     for b, m, ds in windows:
-        ds += [m // d for d in ds if d * d != m]
-        ds.sort()
         # ordered by (b, a): negative a first
         forms += [_form(IndefForm, (-d, b, m // d)) for d in reversed(ds)]
         forms += [_form(IndefForm, (d, b, -(m // d))) for d in ds]

@@ -38,8 +38,9 @@ class UsageError(ValueError):
 # Largest scan bound, and most (disc, b) pairs a duke window may walk,
 # accepted: checked before any list is built, so an oversized request fails
 # at once. reduced_forms takes one value per b <= isqrt(disc), and a pair
-# costs at most 107 trial divisions up to its trial-division cutoff and a
-# few sieve steps above it, so the pairs bound its time too.
+# costs at most 107 trial divisions up to its trial-division cutoff; above
+# it the root walk takes each a <= isqrt(disc), two for every pair, once
+# per root class, so the pairs bound its time too.
 MAX_ITEMS = 10**6
 
 
@@ -352,9 +353,10 @@ def check_form_work(lo: int, hi: int) -> None:
     """Refuse the discriminants lo..hi when (hi - lo + 1) * isqrt(hi), a
     bound on the (disc, b) pairs reduced_forms walks, exceeds MAX_ITEMS.
     Up to isqrt(disc) = TRIAL_DIVISION_MAX_ROOT a pair costs at most about
-    0.21 * isqrt(disc) <= 107 trial divisions; above it, a few sieve steps.
-    Either way the pairing of its window divisors follows, so the cap
-    bounds the time as well as the count."""
+    0.21 * isqrt(disc) <= 107 trial divisions; above it the root walk takes
+    each a <= isqrt(disc), two for every pair, once per root class. Either
+    way the forms of its window divisors follow, so the cap bounds the time
+    as well as the count."""
     if (hi - lo + 1) * math.isqrt(max(hi, 0)) > MAX_ITEMS:
         raise UsageError(f"discriminants {lo}..{hi} need more than {MAX_ITEMS} (disc, b) pairs")
 

@@ -10,13 +10,14 @@ Two different power indices of the fundamental unit appear mod N:
 
   unit_group_index(N): least k with phi(eps)^k scalar mod N. This equals
       the index (Z[xD]^x : Z[N*xD]^x) and drives regulators of suborders.
-  R_of(N): least k with phi(eps)^k = +I or -I mod N. This can be twice
-      the unit-group index: a scalar c*I with c*c = det mod N need not
-      have c = +-1 (Fibonacci matrix mod 5 hits 3*I at k = 5).
+  R_of(N): least k with phi(eps)^k = +I or -I mod N. This is u or 2u,
+      u the unit-group index: phi(eps)^u = c*I with c*c = N(eps)^u = +-1
+      mod N, and c need not be +-1 (Fibonacci matrix mod 5 hits 3*I at
+      k = 5).
 
 Regulators use unit_group_index; R_of is kept as the coarser +-I variant.
-Both are stripped out of the matrix order of phi(epsD) mod N, which
-matrix_orders computes; Mat2 is defined there.
+The unit-group index is stripped out of the matrix order of phi(epsD)
+mod N, which matrix_orders computes; Mat2 is defined there.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import InvariantError, checked_record, factorize, is_square
-from .matrix_orders import Mat2, _least_exponent, mat_order_mod
+from .matrix_orders import Mat2, _least_exponent, _mat_pow_mod, mat_order_mod
 from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
 
 
@@ -199,26 +200,26 @@ def in_suborder(f: FieldData, alpha: AlgInt, N: int) -> bool:
 
 
 def unit_group_index(f: FieldData, N: int) -> int:
-    """(Z[xD]^x : Z[N*xD]^x): least k >= 1 with phi(epsD)^k scalar mod N."""
-    return _least_unit_power(f, N, Mat2.is_scalar_mod)
-
-
-def R_of(f: FieldData, N: int) -> int:
-    """Least k >= 1 with phi(epsD)^k = +I or -I mod N. Can exceed
-    unit_group_index(N) by a factor of 2 (scalar powers c*I with c != +-1
-    exist)."""
-    return _least_unit_power(f, N, lambda P, n: P.b == P.c == 0 and P.a == P.d in (1, n - 1))
-
-
-def _least_unit_power(f: FieldData, N: int, accept) -> int:
-    """Least k >= 1 with accept(phi(epsD)^k mod N, N). The accepted k form
-    a subgroup of Z containing the matrix order, so the least one is
-    stripped out of that order."""
+    """(Z[xD]^x : Z[N*xD]^x): least k >= 1 with phi(epsD)^k scalar mod N.
+    The scalar powers form a subgroup of Z containing the matrix order, so
+    the least one is stripped out of that order."""
     if N == 1:
         return 1
     M = phi(f, f.epsD)
     o = mat_order_mod(M, N)
-    return _least_exponent(M, N, o, factorize(o).primes, accept)
+    return _least_exponent(M, N, o, factorize(o).primes, Mat2.is_scalar_mod)
+
+
+def R_of(f: FieldData, N: int) -> int:
+    """Least k >= 1 with phi(epsD)^k = +I or -I mod N: u or 2u, with u =
+    unit_group_index(N). phi(epsD)^u is c*I mod N, and its determinant gives
+    c^2 = N(eps)^u = +-1, so phi(epsD)^(2u) = +-I; R_of is u exactly when
+    c = +-1 mod N."""
+    u = unit_group_index(f, N)
+    P = _mat_pow_mod(phi(f, f.epsD), u, N)
+    if not P.is_scalar_mod(N) or (P.a * P.a - f.unit_norm**u) % N:
+        raise InvariantError(f"phi(eps)^{u} mod {N} is not a scalar c*I with c^2 = N(eps)^{u}")
+    return u if P.a in (1 % N, N - 1) else 2 * u
 
 
 def regulator_of_order(o: OrderSpec) -> float:

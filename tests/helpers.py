@@ -3,8 +3,9 @@
 Everything here is deliberately naive: trial division, brute-force
 searches, Fraction arithmetic at explicit precision. The point is that
 none of it shares code with the package under test, apart from the record
-types it builds and reduced_forms_by_factorize, which checks the form sieve
-against the package's own factorize.
+types it builds and reduced_forms_by_factorize, which checks the trial
+division and the root walk behind reduced_forms against the package's own
+factorize.
 """
 
 from __future__ import annotations

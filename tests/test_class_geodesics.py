@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from quadcf import class_geodesics, quad_orders
-from quadcf.arith import InvariantError, factorize
+from quadcf.arith import InvariantError, primes_up_to
 from quadcf.class_geodesics import (
     TRIAL_DIVISION_MAX_ROOT,
     IndefForm,
-    _factor_products,
+    _prime_power_classes,
     TotalLength,
     class_number,
     fundamental_decomposition,
@@ -219,35 +219,92 @@ def test_reduced_forms_match_per_b_factorize_enumeration():
     assert checked == 1936
 
 
-# 105 = 3*5*7 and 1365 = 3*5*7*13: sieving primes dividing disc (one root);
+# 105 = 3*5*7 and 1365 = 3*5*7*13: primes dividing disc (one root class);
 # 4004 = 4*7*11*13, 4*10007 and 4*30030 are 0 mod 4; 69300 = 4*9*25*77 has square factors.
 # Those lie below the trial-division cutoff; 10**6 + 1 and the last three
-# are their twins above it: 277200 = 16*9*25*77 (square factors, imprimitive
-# forms, 0 mod 4), 285285 = 3*5*7*11*13*19 and 4*255255 = 4*3*5*7*11*13*17
+# are their twins above it, where the root walk serves: 277200 =
+# 16*9*25*77 (square factors, imprimitive forms, 0 mod 4), 285285 =
+# 3*5*7*11*13*19 and 4*255255 = 4*3*5*7*11*13*17
 SIEVE_DISCS = [105, 1365, 4004, 4 * 10007, 4 * 30030, 69300, 10**6 + 1, 277200, 285285, 4 * 255255]
 
 
-def test_sieve_factorizations_match_factorize():
-    for disc in SIEVE_DISCS:
-        got = list(_factor_products(disc))
-        bs = [b for b, _, _ in got]
-        assert bs == list(range(2 - disc % 2, math.isqrt(disc) + 1, 2)), disc
-        for b, m, factors in got:
-            assert m == (disc - b * b) // 4, (disc, b)
-            assert tuple(factors) == factorize(m).factors, (disc, b)
+def brute_classes(disc, p, q):
+    # b mod 2q with b^2 = disc mod 4q, as b mod q (odd p) or mod 2q (p = 2)
+    w = 2 if p == 2 else 1
+    return [b for b in range(w * q) if (b * b - disc) % (w * w * q) == 0]
 
 
-def test_sieve_factorizations_match_factorize_at_1e10():
-    disc = 10**10 + 1
-    got = list(_factor_products(disc))
-    assert len(got) == 50_000
-    sample = got[::97] + got[-3:]
-    for b, m, factors in sample:
-        assert m == (disc - b * b) // 4, b
-        assert tuple(factors) == factorize(m).factors, b
-    # the sample reaches values with a square factor and with a large prime left over
-    assert any(e > 1 for _, _, factors in sample for _, e in factors)
-    assert any(factors[-1][0] > math.isqrt(got[0][1]) for _, _, factors in sample)
+def check_prime_power_classes(disc, p, bound):
+    got = dict(_prime_power_classes(disc, p, bound))
+    q = 1 if p == 2 else p
+    while q <= bound:
+        want = brute_classes(disc, p, q)
+        if not want:
+            # no class mod q leaves none mod any higher power: the list stops
+            assert max(got, default=0) < q, (disc, p, q)
+            return
+        assert sorted(got.pop(q)) == want, (disc, p, q)
+        q *= p
+    assert not got, (disc, p)
+
+
+def test_prime_power_classes_match_brute_force():
+    # every odd p^e < 10**4, p | disc and p not dividing it: 10**6 + 1 =
+    # 101*9901 is 1 mod 8, 5953500 = 4*3^5*5^3*7^2 has high odd powers,
+    # 277200 = 16*9*25*77 has square factors, and 4*3*9973 = 119676 has a
+    # p | disc near 10**4
+    bound = 10**4 - 1
+    for disc in (10**6 + 1, 5953500, 277200, 4 * 3 * 9973):
+        for p in primes_up_to(bound)[1:]:
+            check_prime_power_classes(disc, p, bound)
+    # p = 2, whose congruence is mod 2^(e+2): every residue 0, 1 mod 4 of
+    # disc mod 64, and high powers of 2 in disc
+    for disc in [r for r in range(64, 128) if r % 4 in (0, 1)] + [2**20 * 5, 2**22 * 3, 2**14 * 7, 2**9 * 3]:
+        check_prime_power_classes(disc, 2, bound)
+    assert _prime_power_classes(5, 7, bound) == []  # 5 is no square mod 7
+
+
+def test_root_walk_matches_per_b_factorize_enumeration_near_the_cutoff(monkeypatch):
+    # the root walk serves every discriminant in 513^2 +- 3000, below the
+    # cutoff too once it is lowered
+    monkeypatch.setattr(class_geodesics, "TRIAL_DIVISION_MAX_ROOT", 0)
+    edge = (TRIAL_DIVISION_MAX_ROOT + 1) ** 2
+    checked = 0
+    for disc in range(edge - 3000, edge + 3001):
+        if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+            continue
+        assert reduced_forms(disc) == reduced_forms_by_factorize(disc), disc
+        checked += 1
+    assert checked == 2996
+
+
+def test_root_walk_mutations_are_caught(monkeypatch):
+    real = class_geodesics._prime_power_classes
+    disc = 10**6 + 1  # 5 does not divide it, and it is a square mod 5
+    want = reduced_forms_by_factorize(disc)
+    assert reduced_forms(disc) == want
+
+    def drop_one(d, p, bound):
+        out = real(d, p, bound)
+        if p == 5:
+            q, classes = out[0]
+            out[0] = (q, classes[1:])
+        return out
+
+    monkeypatch.setattr(class_geodesics, "_prime_power_classes", drop_one)
+    assert len(real(disc, 5, 10)[0][1]) == 2
+    assert reduced_forms(disc) != want
+
+    def shift_one(d, p, bound):
+        out = real(d, p, bound)
+        if p == 5:
+            q, classes = out[0]
+            out[0] = (q, [classes[0] + 1, *classes[1:]])
+        return out
+
+    monkeypatch.setattr(class_geodesics, "_prime_power_classes", shift_one)
+    with pytest.raises(InvariantError, match="root walk"):
+        reduced_forms(disc)
 
 
 def test_reduced_forms_match_per_b_factorize_enumeration_on_sieve_discs():
@@ -277,17 +334,17 @@ def test_reduced_forms_match_per_b_factorize_enumeration_across_the_cutoff():
     assert checked == 300
 
 
-def test_reduced_forms_sieve_only_above_the_cutoff(monkeypatch):
-    def refuse(disc):
-        raise AssertionError(f"_factor_products({disc}) called")
+def test_reduced_forms_root_walk_only_above_the_cutoff(monkeypatch):
+    def refuse(disc, s):
+        raise AssertionError(f"_window_divisors_by_roots({disc}) called")
 
     at_cutoff = (TRIAL_DIVISION_MAX_ROOT + 1) ** 2 - 1
     above = at_cutoff + 4
     assert math.isqrt(at_cutoff) == TRIAL_DIVISION_MAX_ROOT < math.isqrt(above)
     want_at, want_above = reduced_forms(at_cutoff), reduced_forms(above)
-    monkeypatch.setattr(class_geodesics, "_factor_products", refuse)
+    monkeypatch.setattr(class_geodesics, "_window_divisors_by_roots", refuse)
     assert reduced_forms(at_cutoff) == want_at and want_at
-    with pytest.raises(AssertionError, match="_factor_products"):
+    with pytest.raises(AssertionError, match="_window_divisors_by_roots"):
         reduced_forms(above)
     assert want_above == reduced_forms_by_factorize(above)
 
@@ -321,7 +378,7 @@ def test_reduced_forms_do_not_factor_per_b(monkeypatch):
         raise AssertionError(f"factorize({n}) called")
 
     monkeypatch.setattr(class_geodesics, "factorize", refuse)
-    for disc in (5, 8, 229, 4004, 69300, 10**6 + 1):
+    for disc in (5, 8, 229, 4004, 69300, 10**6 + 1, 10**8 + 1):
         assert reduced_forms(disc), disc
 
 

@@ -166,7 +166,7 @@ def test_unit_group_index_frozen_values():
 
 
 def test_unit_indices_refuse_n_below_one():
-    # mat_order_mod's own check refuses it: _least_unit_power has none
+    # mat_order_mod's own check refuses it: unit_group_index has none
     for index in (unit_group_index, R_of):
         for n in (0, -3):
             with pytest.raises(ValueError, match="N must be >= 1"):
@@ -195,8 +195,19 @@ def test_sign_index_random_against_brute_and_divisibility():
         n = rng.randint(2, 250)
         r = R_of(f, n)
         assert r == brute_sign_index(f, n), (f.D, n)
-        # scalar powers come before +-identity powers
-        assert r % unit_group_index(f, n) == 0
+        # phi(eps)^u = c*I with c^2 = +-1, so phi(eps)^(2u) = +-I
+        u = unit_group_index(f, n)
+        assert r in (u, 2 * u)
+
+
+def test_sign_index_witness_trips_on_a_wrong_unit_index(monkeypatch):
+    # R_of reads c off phi(eps)^u = c*I; a u whose power is not scalar, or
+    # whose scalar breaks c^2 = N(eps)^u, is refused instead of doubled
+    f = field_data(5)
+    assert (unit_group_index(f, 5), R_of(f, 5)) == (5, 10)
+    monkeypatch.setattr(quad_orders, "unit_group_index", lambda f, n: 4)
+    with pytest.raises(InvariantError, match="not a scalar"):
+        R_of(f, 5)
 
 
 def test_regulator_of_suborders():
