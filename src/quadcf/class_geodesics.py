@@ -248,12 +248,11 @@ def total_length(disc: int) -> TotalLength:
     """Narrow class number times the wide regulator of the order, h+ * R,
     with the exponent ln(h*reg)/ln(sqrt(disc)) that the census tracks:
     Duke's h+ * R+ = 2hR when N(eps) = +1, hR (half) when N(eps) = -1."""
-    return _total_length(disc, class_number(disc))
+    return _total_length(disc, class_number(disc), *fundamental_decomposition(disc))
 
 
-def _total_length(disc: int, h: int) -> TotalLength:
-    D0, f = fundamental_decomposition(disc)
-    # D0's kernel is squarefree: fundamental_decomposition factored disc
+def _total_length(disc: int, h: int, D0: int, f: int) -> TotalLength:
+    # (D0, f) is fundamental_decomposition(disc), so D0's kernel is squarefree
     reg = regulator_of_order(OrderSpec(_squarefree_field(D0 if D0 % 4 == 1 else D0 // 4), f))
     total = h * reg
     return TotalLength(disc, h, reg, total, math.log(total) / math.log(math.sqrt(disc)))

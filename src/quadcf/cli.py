@@ -17,11 +17,12 @@ import sys
 from typing import Callable, NamedTuple
 
 from .arith import InvariantError
-from .class_geodesics import TotalLength, _cycles, _total_length
+from .class_geodesics import TotalLength, _cycles, _total_length, fundamental_decomposition
 from .experiments import (
     DeviationRow,
     ScanConfig,
     UsageError,
+    _table_chunks,
     artin_scan,
     artin_stats,
     artin_summary_lines,
@@ -33,7 +34,6 @@ from .experiments import (
     duke_stats,
     duke_summary_lines,
     emit,
-    render_table,
 )
 from .matrix_orders import OrderRecord
 from .quad_orders import (
@@ -130,7 +130,7 @@ def cmd_expand(args) -> int:
     ]
     if digits:
         lines.append("convergents: " + " ".join(f"{p}/{q}" for p, q in convergents(digits)))
-    emit("".join(line + "\n" for line in lines), None)
+    emit([line + "\n" for line in lines], None)
     return 0
 
 
@@ -183,10 +183,10 @@ def cmd_scan(args) -> int:
             reason = os.strerror(errno.EISDIR if os.path.isdir(path) else errno.ENOENT)
             raise UsageError(f"cannot write {path}: {reason}")
     rows = spec.scan(st)
-    emit(render_table(spec.row_type, rows, fmt), output)
+    emit(_table_chunks(spec.row_type, rows, fmt), output)
     if summary is not None:
         lines = spec.summary_lines(spec.stats(rows))
-        emit("\n".join(lines) + "\n", None if summary == "-" else summary, "stderr")
+        emit([line + "\n" for line in lines], None if summary == "-" else summary, "stderr")
     return 0
 
 
@@ -206,13 +206,12 @@ def cmd_unit(args) -> int:
         ) from None
     except OverflowError:
         raise UsageError("fundamental unit is too large for a float value") from None
-    emit(line + "\n", None)
+    emit([line + "\n"], None)
     if o.f > 1:
-        emit(
+        emit([
             f"conductor={o.f} disc={o.disc} unit_index={unit_group_index(f, o.f)} "
-            f"pm_index={R_of(f, o.f)} order_regulator={regulator_of_order(o)!r}\n",
-            None,
-        )
+            f"pm_index={R_of(f, o.f)} order_regulator={regulator_of_order(o)!r}\n"
+        ], None)
     return 0
 
 
@@ -220,14 +219,13 @@ def cmd_classno(args) -> int:
     check_form_work(args.disc, args.disc)
     try:
         h, nred = _cycles(args.disc)
-        tl = _total_length(args.disc, h)
+        tl = _total_length(args.disc, h, *fundamental_decomposition(args.disc))
     except InvariantError as e:  # named as the duke runner names a failing item
         raise InvariantError(f"disc={args.disc}: {e}") from e
-    emit(
+    emit([
         f"disc={args.disc} h={tl.h} reduced_forms={nred} reg={tl.reg!r} "
-        f"total_length={tl.total_length!r} exponent={tl.exponent!r}\n",
-        None,
-    )
+        f"total_length={tl.total_length!r} exponent={tl.exponent!r}\n"
+    ], None)
     return 0
 
 

@@ -9,14 +9,22 @@ regardless of worker count.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import sys
+import types
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .arith import InvariantError, is_prime, primes_up_to
-from .class_geodesics import TotalLength, _is_disc, fundamental_decomposition, total_length
+from .class_geodesics import (
+    TotalLength,
+    _is_disc,
+    _total_length,
+    class_number,
+    fundamental_decomposition,
+    total_length,
+)
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
 from .matrix_orders import COMPOSITE, OrderRecord, _record_for
 from .quad_orders import (
@@ -378,12 +386,14 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     return out
 
 
-def _duke_item(ctx, disc: int) -> list[TotalLength]:
+def _duke_item(fundamental_only: bool, disc: int) -> list[TotalLength]:
+    if fundamental_only:  # duke_discs factored disc to keep it: (D0, f) = (disc, 1)
+        return [_total_length(disc, class_number(disc), disc, 1)]
     return [total_length(disc)]
 
 
 def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[TotalLength]:
-    return run_items(_duke_item, None, duke_discs(dmin, dmax, fundamental_only), 1, "disc")
+    return run_items(_duke_item, fundamental_only, duke_discs(dmin, dmax, fundamental_only), 1, "disc")
 
 
 def duke_stats(rows: list[TotalLength]) -> dict:
@@ -415,44 +425,47 @@ def duke_summary_lines(stats: dict) -> list[str]:
 
 # ---- serialization ----
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    if v is None:
-        return ""
-    return str(v)
+def _table_chunks(row_type: type, rows: list, fmt: str) -> Iterator[str]:
+    """render_table's text in chunks: the CSV header, then one chunk per
+    row, or in JSON one chunk per row and the closing bracket."""
+    if fmt == "csv":
+        # writerow returns what it hands to write: the row's line
+        line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+        yield line(row_type._fields)
+        for row in rows:  # csv.writer itself writes None as "" and a float as its repr
+            yield line([("true" if v else "false") if isinstance(v, bool) else v for v in row])
+        return
+    import json  # loaded by JSON output only, not by every start-up
+
+    # no indent, so the C encoder runs; the separators indent as indent=2 does
+    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+    head = "[\n  {\n    "
+    for row in rows:
+        yield head + encode(row._asdict())[1:-1]
+        head = "\n  },\n  {\n    "
+    yield "\n  }\n]\n" if rows else "[]\n"
 
 
 def render_table(row_type: type, rows: list, fmt: str) -> str:
-    """The rows as a CSV or JSON table whose columns are the fields of the
-    named tuple row_type, in declaration order."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(row_type._fields)
-        for row in rows:
-            writer.writerow(map(_fmt, row))
-        return buf.getvalue()
-    import json  # loaded by JSON output only, not by every start-up
-
-    return json.dumps([row._asdict() for row in rows], indent=2, allow_nan=True) + "\n"
+    """The rows as a CSV or JSON table (json.dumps(..., indent=2)) whose columns
+    are the fields of the named tuple row_type, in declaration order. The CLI
+    hands emit the same chunks unjoined."""
+    return "".join(_table_chunks(row_type, rows, fmt))
 
 
-def emit(text: str, path: str | None, stream: str = "stdout") -> None:
-    """Write text to path, or when path is empty to the standard stream
-    sys.<stream> ("stdout" or "stderr"), flushed. A stream that is None
-    (closed at start-up) or cannot take the text raises UsageError; the other
-    stream never stands in for it."""
+def emit(chunks: Iterable[str], path: str | None, stream: str = "stdout") -> None:
+    """Write the text chunks in order to path, or when path is empty to the
+    standard stream sys.<stream> ("stdout" or "stderr"), flushed. Callers pass
+    lines or table rows: one large write that a closing pipe cuts short may
+    not raise. A stream that is None (closed at start-up) or cannot take the
+    text raises UsageError; the other stream never stands in for it."""
     if not path:
         name = {"stdout": "standard output", "stderr": "standard error"}[stream]
         out = getattr(sys, stream)
         if out is None:
             raise UsageError(f"{name} is closed")
         try:
-            # line by line: one large write that a closing pipe cuts short may not raise
-            out.writelines(text.splitlines(True))
+            out.writelines(chunks)
             out.flush()
         except OSError as e:
             # what the stream still buffers goes nowhere, so the flush at exit cannot raise
@@ -463,6 +476,6 @@ def emit(text: str, path: str | None, stream: str = "stdout") -> None:
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e.strerror or e}") from None

@@ -399,6 +399,7 @@ def test_unwritable_paths_are_refused_before_the_scan(flags, bad, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["expand", "--d", "2", "--convergents", "10000"],  # many prints
     ["artin", "--d", "5", "--bound", "5000", "--sequence", "integers"],  # one table of 190 kB
+    ["artin", "--d", "5", "--bound", "5000", "--sequence", "integers", "--format", "json"],
 ])
 def test_exit_code_2_when_stdout_closes_early(argv):
     with subprocess.Popen([sys.executable, "-m", "quadcf.cli", *argv], env=_cli_env(),

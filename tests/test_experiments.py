@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -407,6 +410,25 @@ def test_duke_scan_hands_its_discriminants_to_the_runner(monkeypatch):
         assert [r.disc for r in rows] == discs
 
 
+def test_duke_scan_factors_each_valid_disc_once(monkeypatch):
+    # the fundamental-only filter factors each valid disc; a kept one is its
+    # own D0 with f = 1, so its total length does not factor it again
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return arith.factorize(n)
+
+    valid = duke_discs(10000, 10400, False)
+    for module in (class_geodesics, quad_orders, matrix_orders):
+        monkeypatch.setattr(module, "factorize", counting)
+    assert len(duke_scan(10000, 10400, True)) == 120
+    assert calls == valid and len(valid) == 199
+    calls.clear()
+    duke_scan(10000, 10400, False)  # each disc once; the rest are conductors and p +- 1
+    assert [n for n in calls if n >= 10000] == valid
+
+
 def test_duke_scan_rows():
     rows = duke_scan(5, 60, fundamental_only=True)
     by_disc = {r.disc: r for r in rows}
@@ -445,9 +467,86 @@ def test_render_table_csv_and_json():
     assert list(json.loads(text)[0]) == ["b", "a", "c"]
 
 
+class EdgeRow(NamedTuple):
+    x: object
+    y: object
+    s: object
+
+
+EDGE_ROWS = [
+    EdgeRow(float("nan"), float("inf"), "plain"),
+    EdgeRow(float("-inf"), -0.0, "comma, here"),
+    EdgeRow(True, False, 'a "quoted" word'),
+    EdgeRow(None, 10**200, "two\nlines"),
+    EdgeRow(-(10**200), 5e-324, "tab\there"),
+    EdgeRow(1e16, 0, "na\u00efve \u221e"),
+]
+
+
+def _reference_table(row_type, rows, fmt):
+    # the one-shot encoders the streamed writer must match byte for byte
+    if fmt == "json":
+        return json.dumps([row._asdict() for row in rows], indent=2, allow_nan=True) + "\n"
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(v) if isinstance(v, float) else "" if v is None else str(v)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(row_type._fields)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def test_streamed_tables_match_the_one_shot_encoders(tmp_path, capsys):
+    tables = {
+        EdgeRow: EDGE_ROWS,
+        DeviationRow: converge_scan(ScanConfig(bound=60, patterns=((1,), (2,), (1, 1)))),
+        OrderRecord: artin_scan(ScanConfig(d=5, sequence="integers", bound=300)),
+        TotalLength: duke_scan(5, 300),
+    }
+    assert {r.is_max for r in tables[OrderRecord]} == {None, True, False}
+    target = tmp_path / "table"
+    for row_type, rows in tables.items():
+        for part in ([], rows[:1], rows):
+            for fmt in ("csv", "json"):
+                want = _reference_table(row_type, part, fmt)
+                assert render_table(row_type, part, fmt) == want, (row_type, len(part), fmt)
+                emit(experiments._table_chunks(row_type, part, fmt), str(target))
+                assert target.read_text() == want
+                emit(experiments._table_chunks(row_type, part, fmt), None)
+                assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_memory_does_not_grow_with_the_rows(tmp_path, fmt):
+    rows = [
+        DeviationRow(n, n % 3 == 0, n % 97, "1-2", n, 2 * n + 1, 0.41503749927884376,
+                     1 / n, 5 * n * n, 0.5 + 1 / n)
+        for n in range(1, 40_001)
+    ]
+    target = str(tmp_path / "table")
+
+    def peak(table):
+        # tracing starts after the rows exist: what is counted is the writer's
+        tracemalloc.start()
+        try:
+            emit(experiments._table_chunks(DeviationRow, table, fmt), target)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(rows[:10_000]), peak(rows)
+    text = os.path.getsize(target)  # 40 000 rows: megabytes of text
+    assert large < small + 64 * 1024, (small, large)
+    assert large < text / 8, (large, text)  # not a copy of the table
+
+
 def test_emit_to_file_and_stream(tmp_path, capsys):
     target = tmp_path / "out.csv"
-    emit("hello\n", str(target))
-    assert target.read_text() == "hello\n"
-    emit("to-stdout\n", None)
+    emit(["hello\n", "world\n"], str(target))
+    assert target.read_text() == "hello\nworld\n"
+    emit(["to-stdout\n"], None)
     assert capsys.readouterr().out == "to-stdout\n"
