@@ -12,7 +12,17 @@ p the characteristic polynomial gives that multiple (p-1 split, p+1 or
 2(p+1) inert depending on det, p^2-1 inert otherwise, p(p-1) for a double
 root); mod 2 it is 6, the exponent of GL2(F2) = S3. A scan over N meets
 the same p^e again and again, so the order mod p^e is memoised per
-process on (M, p, e); the lcm is then checked as a witness mod N itself.
+process on (M, p, e), in a dict of at most _MEMO_SIZE entries that
+evicts the least recently used.
+
+The witness mod N, M^o = I and M^(o/q) != I for every prime q of o, runs
+wherever its verdict is new to the call: for every N with two or more
+prime powers, where the lcm is new, and for N = p^e on a memo hit, so a
+wrong memo entry raises. It does not run when N = p^e has just missed the
+memo, since the strip has then proven the same facts mod N: M^o = I
+is its last kept removal (or the multiple it started from), and for each
+prime q of o the removal that stopped it found M^(k/q) != I at a multiple
+k of o, so M^(o/q) != I as well.
 
 Every power M^k mod n comes from the pair (U_k, U_(k-1)) of the Lucas
 sequence of M's characteristic polynomial (Cayley-Hamilton), carried up
@@ -26,7 +36,6 @@ from quad_orders at run time.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -119,9 +128,20 @@ def _order_multiple(M: Mat2, p: int) -> int:
     return p * p - 1  # inert, general det
 
 
-@functools.lru_cache(maxsize=4096)
-def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...]]:
-    """Order of M mod p^e, det M a unit mod p, and the primes of that order."""
+# (M, p, e) -> (order of M mod p^e, the primes of that order); the first
+# key is the least recently used
+_order_memo: dict[tuple[Mat2, int, int], tuple[int, tuple[int, ...]]] = {}
+_MEMO_SIZE = 4096
+
+
+def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], bool]:
+    """Order of M mod p^e, det M a unit mod p, the primes of that order, and
+    whether this call computed them (True) or read them from _order_memo."""
+    key = (M, p, e)
+    entry = _order_memo.pop(key, None)
+    if entry is not None:
+        _order_memo[key] = entry  # re-inserted as the most recently used
+        return (*entry, False)
     n = p**e
     m = _order_multiple(M, p)
     k = m * p ** (e - 1)
@@ -129,14 +149,18 @@ def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...]]:
         raise InvariantError(f"candidate exponent {k} is not annihilating mod {n}")
     primes = sorted({*factorize(m).primes, p})
     o = _least_exponent(M, n, k, primes, _is_identity)
-    return o, tuple(q for q in primes if o % q == 0)
+    if len(_order_memo) >= _MEMO_SIZE:
+        del _order_memo[next(iter(_order_memo))]
+    _order_memo[key] = entry = o, tuple(q for q in primes if o % q == 0)
+    return (*entry, True)
 
 
 def mat_order_mod(M: Mat2, N: int) -> int:
     """Multiplicative order of M modulo N; requires gcd(det M, N) = 1.
 
-    The result o is verified in place: M^o = I mod N and M^(o/q) != I for
-    every prime q dividing o.
+    The result o is verified mod N: M^o = I and M^(o/q) != I for every
+    prime q dividing o. When N = p^e misses the (M, p, e) memo, the strip
+    that found o has just proven both mod N; otherwise they are tested here.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -144,11 +168,14 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         raise ValueError("matrix is not invertible mod N")
     if N == 1:
         return 1
+    factors = factorize(N).factors
     o, primes = 1, set()
-    for p, e in factorize(N).factors:
-        op, qs = _prime_power_order(M, p, e)
+    for p, e in factors:
+        op, qs, fresh = _prime_power_order(M, p, e)
         o = math.lcm(o, op)
         primes.update(qs)
+    if fresh and len(factors) == 1:
+        return o
     # witness property
     if not _is_identity(_mat_pow_mod(M, o, N), N):
         raise InvariantError("claimed order does not annihilate")

@@ -184,7 +184,11 @@ def _state_walk(x: Surd) -> tuple[list[int], int, tuple[int, int]]:
     then stops at the next centre, half a period on, and otherwise at the
     second. Mirroring gives the rest. sqrt(D) has Q_{-1} = 1, so every
     N*sqrt(d) walks half its period. A cycle with no centre closes on its
-    start. Every walked step keeps the lattice check.
+    start. Every walked step keeps the lattice check: Q divides D - P'^2.
+    (Perron's Q_{k+1} = Q_{k-1} + a_k*(P_k - P_{k+1}), witnessed by the
+    product Q_{k+1}*Q_k = D - P_{k+1}^2, gives the same states, but in
+    CPython 3.11 its extra operations cost more than the remainder and
+    the division it would save.)
     An expansion longer than its limit, MAX_WALK_STEPS // max(1, bits(D)//64)
     digits with mirrored ones included, raises ValueError naming it."""
     P, Q, D = x.P, x.Q, x.D
@@ -238,11 +242,15 @@ def cf_expand(x: Surd) -> CFExpansion:
     """Expansion by the exact state recursion.
 
     a = floor((P + sqrt(D))/Q), then P' = a*Q - P and Q' = (D - P'^2)/Q;
-    the divisibility invariant keeps Q' integral. The first reduced state
-    cuts the digit list into preperiod + least period (see _state_walk).
+    the divisibility invariant keeps Q' integral, and every step checks it
+    (see _state_walk). The first reduced state cuts the digit list into
+    preperiod + least period. The walk proves what CFExpansion's
+    constructor checks (a nonempty period, and every digit after the first
+    at least 1, since each later complete quotient exceeds 1), so the
+    expansion is built without that re-check.
     """
     digits, i, _ = _state_walk(x)
-    return CFExpansion(tuple(digits[:i]), tuple(digits[i:]))
+    return tuple.__new__(CFExpansion, (tuple(digits[:i]), tuple(digits[i:])))
 
 
 def periodic_tail(x: Surd) -> Surd:

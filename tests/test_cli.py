@@ -462,6 +462,21 @@ def test_small_tables_match_pinned_hashes(command, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TABLES[command]
 
 
+# sha256 of every command the benchmark runs (bench/golden.json, read only)
+BENCH_PINS = json.loads((Path(SRC).parent / "bench" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(BENCH_PINS))
+def test_bench_tables_match_their_golden_pins(command, tmp_path):
+    # converge and artin at one and two workers; duke takes no --workers
+    argv = command.split(" ")
+    for workers in ([None] if argv[0] == "duke" else ["1", "2"]):
+        out = tmp_path / f"table-{workers}"
+        extra = [] if workers is None else ["--workers", workers]
+        assert run(argv + extra + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_PINS[command], workers
+
+
 def _cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
     # stdout buffered, as by default, so output left unflushed at exit is lost
     env = _cli_env()

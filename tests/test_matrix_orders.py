@@ -16,7 +16,7 @@ from quadcf import arith, matrix_orders
 from quadcf.arith import InvariantError, factorize
 from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, field_data, phi
-from quadcf.matrix_orders import _mat_pow_mod, _prime_power_order
+from quadcf.matrix_orders import _mat_pow_mod, _order_memo, _prime_power_order
 from helpers import (
     brute_mat_order,
     brute_pisano,
@@ -87,7 +87,7 @@ def test_prime_power_memo_matches_brute_cold_and_warm():
         for M in MEMO_MATRICES
     }
     for M, orders in want.items():  # ascending N from an empty memo
-        _prime_power_order.cache_clear()
+        _order_memo.clear()
         for n, o in orders.items():
             assert mat_order_mod(M, n) == o, (M, n)
     rng = random.Random(44)
@@ -104,7 +104,7 @@ def test_prime_power_order_returns_the_primes_of_the_order():
         while p**e < 500:
             for M in MEMO_MATRICES:
                 if M.det % p:
-                    o, primes = _prime_power_order(M, p, e)
+                    o, primes, _ = _prime_power_order(M, p, e)
                     assert primes == factorize(o).primes, (M, p, e)
                     assert o == mat_order_mod(M, p**e)
             e += 1
@@ -120,13 +120,112 @@ def test_artin_scan_reuses_prime_power_orders(monkeypatch):
         return real(M, k, n)
 
     monkeypatch.setattr(matrix_orders, "_mat_pow_mod", counting)
-    _prime_power_order.cache_clear()
+    _order_memo.clear()
     artin_scan(ScanConfig(d=5, sequence="integers", bound=2000))
     assert calls <= 9500  # 15 856 when every N recomputed each p^e || N
 
 
-def test_prime_power_memo_is_bounded():
-    assert _prime_power_order.cache_info().maxsize is not None
+@pytest.fixture
+def empty_memo():
+    """The (M, p, e) memo, empty at the start and cleared at the end."""
+    _order_memo.clear()
+    yield _order_memo
+    _order_memo.clear()
+
+
+def test_prime_power_memo_is_bounded(empty_memo):
+    # unipotent matrices mod 3: 4 097 distinct keys, each of order 3
+    keys = [(Mat2(1, 3 * j + 1, 0, 1), 3, 1) for j in range(4097)]
+    for key in keys[:4096]:
+        assert _prime_power_order(*key) == (3, (3,), True)
+    assert list(_order_memo) == keys[:4096]
+    assert _prime_power_order(*keys[0]) == (3, (3,), False)  # a hit: now the newest
+    assert list(_order_memo)[-1] == keys[0] and len(_order_memo) == 4096
+    assert _prime_power_order(*keys[4096]) == (3, (3,), True)  # evicts the oldest
+    assert len(_order_memo) == 4096
+    assert keys[1] not in _order_memo and keys[0] in _order_memo
+    assert list(_order_memo)[-2:] == [keys[0], keys[4096]]
+    assert _prime_power_order(*keys[1]) == (3, (3,), True)  # evicted, so computed again
+    assert keys[2] not in _order_memo and len(_order_memo) == 4096
+
+
+def _counted_powers(monkeypatch) -> list:
+    """Every (k, n) that matrix_orders powers M to, in call order."""
+    calls = []
+    real = matrix_orders._mat_pow_mod
+
+    def counting(M, k, n):
+        calls.append((k, n))
+        return real(M, k, n)
+
+    monkeypatch.setattr(matrix_orders, "_mat_pow_mod", counting)
+    return calls
+
+
+def _witness(o: int, N: int) -> list:
+    """The witness mod N of the order o, sorted: M^o and M^(o/q) for each
+    prime q of o."""
+    return sorted([(o, N)] + [(o // q, N) for q in factorize(o).primes])
+
+
+@pytest.mark.parametrize("M", MEMO_MATRICES)
+def test_a_fresh_prime_power_is_proven_by_its_strip_alone(monkeypatch, M):
+    calls = _counted_powers(monkeypatch)
+    for N in (2, 3, 7, 9, 11, 16, 41, 49, 97, 125, 1009, 3**7, 65537):
+        if math.gcd(M.det, N) != 1:
+            continue
+        (p, e), = factorize(N).factors
+        _order_memo.clear()
+        calls.clear()
+        strip = _prime_power_order(M, p, e)
+        strip_calls = calls[:]
+        _order_memo.clear()
+        calls.clear()
+        o = mat_order_mod(M, N)
+        assert strip[0] == o == brute_mat_order((M.a, M.b, M.c, M.d), N), (M, N)
+        assert calls == strip_calls, (M, N)  # no witness after a miss
+        assert all(n == N for _, n in calls) and len(calls) <= 64
+        calls.clear()
+        assert mat_order_mod(M, N) == o  # a hit: the witness alone, as before
+        assert sorted(calls) == _witness(o, N), (M, N)
+
+
+@pytest.mark.parametrize("M", MEMO_MATRICES)
+def test_a_composite_modulus_keeps_its_witness(monkeypatch, M):
+    calls = _counted_powers(monkeypatch)
+    for N in (6, 12, 35, 77, 4 * 7 * 11, 9 * 25, 1001, 2 * 65537):
+        if math.gcd(M.det, N) != 1:
+            continue
+        _order_memo.clear()
+        calls.clear()
+        o = mat_order_mod(M, N)
+        w = len(_witness(o, N))
+        assert sorted(calls[-w:]) == _witness(o, N), (M, N)  # after the strips
+        assert all(n != N for _, n in calls[:-w]), (M, N)
+        assert o == brute_mat_order((M.a, M.b, M.c, M.d), N), (M, N)
+        calls.clear()
+        assert mat_order_mod(M, N) == o  # every prime power a hit
+        assert sorted(calls) == _witness(o, N), (M, N)
+
+
+def test_a_corrupted_memo_entry_raises_on_its_next_hit(empty_memo):
+    M = FIB_MATRIX
+    # Fibonacci orders 6 mod 4, 16 mod 7, 10 mod 11 and 8 mod 3. Each entry
+    # is corrupted, then read at N = p^e and at a composite N; every
+    # corruption below moves the lcm, so the composite witness sees it too.
+    for p, e, N in ((2, 2, 4 * 7 * 11), (7, 1, 4 * 7 * 11), (11, 1, 4 * 7 * 11), (7, 1, 7 * 3)):
+        _order_memo.clear()
+        o, primes, fresh = _prime_power_order(M, p, e)
+        assert fresh
+        for bad, want in (
+            ((o * 1009, primes + (1009,)), "not minimal"),  # a multiple of the order
+            ((o * primes[-1], primes), "not minimal"),
+            ((o // primes[-1], primes), "does not annihilate"),  # a proper divisor
+        ):
+            for n in (p**e, N):
+                _order_memo[M, p, e] = bad
+                with pytest.raises(InvariantError, match=want):
+                    mat_order_mod(M, n)
 
 
 def test_witness_mod_n_catches_a_wrong_prime_power_order(monkeypatch):
@@ -134,12 +233,12 @@ def test_witness_mod_n_catches_a_wrong_prime_power_order(monkeypatch):
     N = 4 * 7 * 11  # Fibonacci orders 6, 16, 10: each adds to the lcm
     for bad in (2, 7, 11):
         def too_large(M, p, e):
-            o, primes = real(M, p, e)
-            return (o * 1009, primes + (1009,)) if p == bad else (o, primes)
+            o, primes, fresh = real(M, p, e)
+            return (o * 1009, primes + (1009,), fresh) if p == bad else (o, primes, fresh)
 
         def too_small(M, p, e):
-            o, primes = real(M, p, e)
-            return (o // primes[-1], primes) if p == bad else (o, primes)
+            o, primes, fresh = real(M, p, e)
+            return (o // primes[-1], primes, fresh) if p == bad else (o, primes, fresh)
 
         monkeypatch.setattr(matrix_orders, "_prime_power_order", too_large)
         with pytest.raises(InvariantError, match="not minimal"):

@@ -203,7 +203,9 @@ def test_digit_stream_matches_fraction_oracle():
     for _ in range(200):
         x = random_surd(rng, ms=(2, 3, 5, 7, 13, 19), span=25)
         want = cf_digits_of_fraction(surd_fraction(x, bits=400), 25)
-        got = list(cf_expand(x).digits(25))
+        e = cf_expand(x)
+        assert e == CFExpansion(*e), x  # built unchecked, it passes the checks
+        got = list(e.digits(25))
         assert got == want[: len(got)], x
 
 
