@@ -3,13 +3,16 @@ mod a prime, the Kronecker symbol at a prime, and the base of the
 validated records.
 
 Everything here is exact; no floats. Numbers are plain Python ints and may
-be arbitrarily large.
+be arbitrarily large. A scan over N <= bound also builds one table of
+smallest prime factors (_spf_table), from which every n it covers is
+factored by division alone (_spf_factors); factorize serves the rest.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -52,6 +55,37 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
     return [i for i in range(2, bound + 1) if sieve[i]]
+
+
+def _spf_table(bound: int) -> array:
+    """The smallest prime factor of every n <= bound, as array('I'): entry n
+    is n itself when n is 0, 1 or prime. Each prime p <= isqrt(bound) writes
+    p over its multiples from p*p on by slice assignment, the primes taken
+    in descending order, so the smallest prime of n writes last."""
+    spf = array("I", range(bound + 1))
+    for p in reversed(primes_up_to(math.isqrt(bound))):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, bound + 1, p))
+    return spf
+
+
+def _spf_factors(spf: array, n: int) -> tuple[tuple[int, int], ...]:
+    """factorize(n).factors read off the table spf, 1 <= n < len(spf): the
+    entry of n is its least prime, divided out as often as it goes, and
+    the entry of the cofactor gives the next. An entry that is not a
+    factor > 1 of its n raises InvariantError naming n, so a wrong table
+    cannot loop."""
+    factors = []
+    while n > 1:
+        p = spf[n]
+        if p < 2 or n % p:
+            raise InvariantError(f"smallest-prime-factor table gives {p} at {n}, not a factor of it")
+        n //= p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors.append((p, e))
+    return tuple(factors)
 
 
 _SMALL_PRIMES = tuple(primes_up_to(97))

@@ -26,7 +26,7 @@ from .class_geodesics import (
     total_length,
 )
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
-from .matrix_orders import COMPOSITE, OrderRecord, _record_for
+from .matrix_orders import COMPOSITE, OrderRecord, _record_for, _spf_scope
 from .quad_orders import (
     OrderSpec,
     _squarefree_field,
@@ -85,6 +85,13 @@ def sequence_values(cfg: ScanConfig) -> list[int]:
     if not ns:
         raise UsageError("no N in the sequence is coprime to the filter")
     return ns
+
+
+def _spf_bound(cfg: ScanConfig) -> int:
+    """How far a scan's smallest-prime-factor table reaches: every N <= bound,
+    and every p - 1, p + 1 and 2(p + 1) of a prime p <= bound, the multiples
+    of the orders mod p that the order of a matrix mod N is stripped from."""
+    return 2 * cfg.bound + 2
 
 
 # ---- item runner ----
@@ -261,7 +268,9 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     # surd_coords factors the radicand: its m is squarefree, so it is not factored again
     fdata = _squarefree_field(surd_coords(base)[0])
     patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
-    return run_items(_converge_item, (base, fdata, patterns), sequence_values(cfg), cfg.workers)
+    ns = sequence_values(cfg)
+    with _spf_scope(_spf_bound(cfg)):
+        return run_items(_converge_item, (base, fdata, patterns), ns, cfg.workers)
 
 
 def converge_stats(rows: list[DeviationRow]) -> dict:
@@ -324,7 +333,9 @@ def artin_scan(cfg: ScanConfig) -> list[OrderRecord]:
     validate_config(cfg)
     fdata = field_data(cfg.d)
     ctx = (fdata, phi(fdata, fdata.epsD))
-    return run_items(_artin_item, ctx, sequence_values(cfg), cfg.workers)
+    ns = sequence_values(cfg)
+    with _spf_scope(_spf_bound(cfg)):
+        return run_items(_artin_item, ctx, ns, cfg.workers)
 
 
 def artin_stats(records: list[OrderRecord]) -> dict:

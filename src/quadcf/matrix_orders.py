@@ -15,14 +15,24 @@ the same p^e again and again, so the order mod p^e is memoised per
 process on (M, p, e), in a dict of at most _MEMO_SIZE entries that
 evicts the least recently used.
 
-The witness mod N, M^o = I and M^(o/q) != I for every prime q of o, runs
-wherever its verdict is new to the call: for every N with two or more
-prime powers, where the lcm is new, and for N = p^e on a memo hit, so a
-wrong memo entry raises. It does not run when N = p^e has just missed the
-memo, since the strip has then proven the same facts mod N: M^o = I
-is its last kept removal (or the multiple it started from), and for each
-prime q of o the removal that stopped it found M^(k/q) != I at a multiple
-k of o, so M^(o/q) != I as well.
+A scan installs one smallest-prime-factor table (arith._spf_table) around
+its items, beside the memo (_spf_scope): while it is in place, N, the
+multiples of the orders mod p and the orders themselves are factored from
+it, and N's primality is read off it, wherever they fall inside it;
+factorize and is_prime serve the rest.
+
+The witness mod N proves the order o: A = M^(o/q0) mod N for the least
+prime q0 of o shows M^(o/q0) != I, its power A^q0, which is M^o mod N,
+shows M^o = I, and M^(o/q) != I is tested for every other prime q of o;
+at o = 1 the one check is M = I. That is 1 + omega(o) powers mod N, M^o
+coming from the small exponent q0. The witness runs wherever its verdict
+is new to the call: for every N with two or more prime powers, where the
+lcm is new, and for N = p^e on a memo hit, so a wrong memo entry raises.
+It does not run when N = p^e has just missed the memo, since the strip
+has then proven the same facts mod N: M^o = I is its last kept removal
+(or the multiple it started from), and for each prime q of o the removal
+that stopped it found M^(k/q) != I at a multiple k of o, so M^(o/q) != I
+as well.
 
 Every power M^k mod n comes from the pair (U_k, U_(k-1)) of the Lucas
 sequence of M's characteristic polynomial (Cayley-Hamilton), carried up
@@ -37,9 +47,19 @@ from quad_orders at run time.
 from __future__ import annotations
 
 import math
+from array import array
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import InvariantError, checked_record, factorize, is_prime, kronecker
+from .arith import (
+    InvariantError,
+    _spf_factors,
+    _spf_table,
+    checked_record,
+    factorize,
+    is_prime,
+    kronecker,
+)
 
 if TYPE_CHECKING:  # annotations only: quad_orders imports this module
     from .quad_orders import FieldData
@@ -132,6 +152,31 @@ def _order_multiple(M: Mat2, p: int) -> int:
 # key is the least recently used
 _order_memo: dict[tuple[Mat2, int, int], tuple[int, tuple[int, ...]]] = {}
 _MEMO_SIZE = 4096
+# The running scan's smallest-prime-factor table; empty, covering no n,
+# outside a scan. Forked shares inherit it with the memo.
+_spf = array("I")
+
+
+@contextmanager
+def _spf_scope(bound: int):
+    """The smallest-prime-factor table of every n <= bound, in place for the
+    body of the with-statement and removed after it, raised or not."""
+    global _spf
+    _spf = _spf_table(bound)
+    try:
+        yield
+    finally:
+        _spf = array("I")
+
+
+def _factors(n: int) -> tuple[tuple[int, int], ...]:
+    """factorize(n).factors, read off the scan's table when it covers n."""
+    return _spf_factors(_spf, n) if n < len(_spf) else factorize(n).factors
+
+
+def _is_prime(n: int) -> bool:
+    """is_prime(n), read off the scan's table when it covers n."""
+    return (n > 1 and _spf[n] == n) if n < len(_spf) else is_prime(n)
 
 
 def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], bool]:
@@ -147,7 +192,7 @@ def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], b
     k = m * p ** (e - 1)
     if not _is_identity(_mat_pow_mod(M, k, n), n):
         raise InvariantError(f"candidate exponent {k} is not annihilating mod {n}")
-    primes = sorted({*factorize(m).primes, p})
+    primes = sorted({*(q for q, _ in _factors(m)), p})
     o = _least_exponent(M, n, k, primes, _is_identity)
     if len(_order_memo) >= _MEMO_SIZE:
         del _order_memo[next(iter(_order_memo))]
@@ -159,8 +204,9 @@ def mat_order_mod(M: Mat2, N: int) -> int:
     """Multiplicative order of M modulo N; requires gcd(det M, N) = 1.
 
     The result o is verified mod N: M^o = I and M^(o/q) != I for every
-    prime q dividing o. When N = p^e misses the (M, p, e) memo, the strip
-    that found o has just proven both mod N; otherwise they are tested here.
+    prime q dividing o, M^o as the q0-th power of M^(o/q0) for the least
+    prime q0. When N = p^e misses the (M, p, e) memo, the strip that found
+    o has just proven both mod N; otherwise they are tested here.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -168,7 +214,7 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         raise ValueError("matrix is not invertible mod N")
     if N == 1:
         return 1
-    factors = factorize(N).factors
+    factors = _factors(N)
     o, primes = 1, set()
     for p, e in factors:
         op, qs, fresh = _prime_power_order(M, p, e)
@@ -176,10 +222,19 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         primes.update(qs)
     if fresh and len(factors) == 1:
         return o
-    # witness property
-    if not _is_identity(_mat_pow_mod(M, o, N), N):
+    # the witness over the primes of o: a wrong memo entry may list others,
+    # and o // q0 must be exact for A^q0 to be M^o
+    qs = sorted(q for q in primes if o % q == 0)
+    if not qs:  # o = 1
+        if not _is_identity(_mat_pow_mod(M, o, N), N):
+            raise InvariantError("claimed order does not annihilate")
+        return o
+    A = _mat_pow_mod(M, o // qs[0], N)
+    if _is_identity(A, N):
+        raise InvariantError("claimed order is not minimal")
+    if not _is_identity(_mat_pow_mod(A, qs[0], N), N):
         raise InvariantError("claimed order does not annihilate")
-    for q in primes:
+    for q in qs[1:]:
         if _is_identity(_mat_pow_mod(M, o // q, N), N):
             raise InvariantError("claimed order is not minimal")
     return o
@@ -200,7 +255,7 @@ def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:
     o = mat_order_mod(M, N)
     exponent = math.log(o) / math.log(N)
     split_type, is_max = COMPOSITE, None
-    if is_prime(N):
+    if _is_prime(N):
         k = kronecker(f.D, N)
         split_type = SPLIT if k == 1 else INERT if k == -1 else RAMIFIED
         if N != 2 and k:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import InvariantError, checked_record, factorize, is_square
-from .matrix_orders import Mat2, _least_exponent, _mat_pow_mod, mat_order_mod
+from .matrix_orders import Mat2, _factors, _least_exponent, _mat_pow_mod, mat_order_mod
 from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
 
 
@@ -202,12 +202,13 @@ def in_suborder(f: FieldData, alpha: AlgInt, N: int) -> bool:
 def unit_group_index(f: FieldData, N: int) -> int:
     """(Z[xD]^x : Z[N*xD]^x): least k >= 1 with phi(epsD)^k scalar mod N.
     The scalar powers form a subgroup of Z containing the matrix order, so
-    the least one is stripped out of that order."""
+    the least one is stripped out of that order, whose primes come from a
+    scan's smallest-prime-factor table when it covers the order."""
     if N == 1:
         return 1
     M = phi(f, f.epsD)
     o = mat_order_mod(M, N)
-    return _least_exponent(M, N, o, factorize(o).primes, Mat2.is_scalar_mod)
+    return _least_exponent(M, N, o, [q for q, _ in _factors(o)], Mat2.is_scalar_mod)
 
 
 def R_of(f: FieldData, N: int) -> int:

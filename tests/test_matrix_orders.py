@@ -12,11 +12,18 @@ from quadcf.matrix_orders import (
     OrderRecord,
     mat_order_mod,
 )
-from quadcf import arith, matrix_orders
+from quadcf import arith, experiments, matrix_orders
 from quadcf.arith import InvariantError, factorize
 from quadcf.experiments import ScanConfig, artin_scan
 from quadcf.quad_orders import AlgInt, Mat2, field_data, phi
-from quadcf.matrix_orders import _mat_pow_mod, _order_memo, _prime_power_order
+from quadcf.matrix_orders import (
+    _factors,
+    _is_prime,
+    _mat_pow_mod,
+    _order_memo,
+    _prime_power_order,
+    _spf_scope,
+)
 from helpers import (
     brute_mat_order,
     brute_pisano,
@@ -163,9 +170,13 @@ def _counted_powers(monkeypatch) -> list:
 
 
 def _witness(o: int, N: int) -> list:
-    """The witness mod N of the order o, sorted: M^o and M^(o/q) for each
-    prime q of o."""
-    return sorted([(o, N)] + [(o // q, N) for q in factorize(o).primes])
+    """The witness mod N of the order o, sorted: M^(o/q0) for the least prime
+    q0 of o and its q0-th power, which is M^o, then M^(o/q) for each other
+    prime q of o; M^1 alone when o = 1. That is 1 + omega(o) powers."""
+    if o == 1:
+        return [(1, N)]
+    q0, *rest = factorize(o).primes
+    return sorted([(o // q0, N), (q0, N)] + [(o // q, N) for q in rest])
 
 
 @pytest.mark.parametrize("M", MEMO_MATRICES)
@@ -226,6 +237,27 @@ def test_a_corrupted_memo_entry_raises_on_its_next_hit(empty_memo):
                 _order_memo[M, p, e] = bad
                 with pytest.raises(InvariantError, match=want):
                     mat_order_mod(M, n)
+    # o*q0 and o/q0 at the least prime q0 = 2 of the order, whose power
+    # M^(o/q0) the witness raises to q0 for M^o. Above, 2 is the largest
+    # prime of the order too mod 7 and mod 3; mod 11 and mod 4 it is not.
+    # The order mod every odd prime is even, so 6/2 = 3 mod 4 moves the lcm
+    # at no composite N and is read at N = 4 alone. Last, 6 + 1 mod 4 with
+    # the primes 2 and 3 of 6: from primes that do not divide the order,
+    # A = M^(7 // 2) and A^2 = M^6 = I would pass it.
+    for p, e, wrong, want, ns in (
+        (11, 1, 10 * 2, "not minimal", (11, 2 * 11)),
+        (11, 1, 10 // 2, "does not annihilate", (11, 2 * 11)),
+        (2, 2, 6 * 2, "not minimal", (4, 4 * 11)),
+        (2, 2, 6 // 2, "does not annihilate", (4,)),
+        (2, 2, 6 + 1, "does not annihilate", (4, 4 * 11)),
+    ):
+        _order_memo.clear()
+        o, primes, _ = _prime_power_order(M, p, e)
+        assert primes[0] == 2 < primes[-1]
+        for n in ns:
+            _order_memo[M, p, e] = wrong, primes
+            with pytest.raises(InvariantError, match=want):
+                mat_order_mod(M, n)
 
 
 def test_witness_mod_n_catches_a_wrong_prime_power_order(monkeypatch):
@@ -374,19 +406,99 @@ def test_artin_rows_match_the_jacobi_oracle(sequence):
 
 
 def test_artin_scan_tests_each_n_for_primality_once(monkeypatch):
-    calls = []
-    real = matrix_orders.is_prime
+    # once per N, read off the scan's table, which covers every N: the scan
+    # never calls is_prime
+    calls, slow = [], []
+    real = matrix_orders._is_prime
 
     def counting(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(matrix_orders, "is_prime", counting)
-    monkeypatch.setattr(arith, "is_prime", counting)
+    def slow_counting(n):
+        slow.append(n)
+        return arith.is_prime(n)
+
+    monkeypatch.setattr(matrix_orders, "_is_prime", counting)
+    monkeypatch.setattr(matrix_orders, "is_prime", slow_counting)
     for sequence, ns in (("integers", list(range(2, 501))), ("primes", sieve_primes(500))):
         calls.clear()
         artin_scan(ScanConfig(d=5, sequence=sequence, bound=500))
-        assert calls == ns, sequence
+        assert calls == ns and slow == [], sequence
+
+
+def test_spf_table_matches_factorize_and_is_prime():
+    bound = 10**5
+    with _spf_scope(bound):
+        assert len(matrix_orders._spf) == bound + 1
+        for n in range(1, bound + 1):
+            assert _factors(n) == factorize(n).factors, n
+        for n in range(bound + 1):
+            assert _is_prime(n) == arith.is_prime(n), n
+    assert not matrix_orders._spf
+
+
+def test_spf_table_covers_what_the_scan_factors(monkeypatch):
+    # N <= bound, and p - 1, p + 1 and 2(p + 1) for p <= bound; also p(p - 1)
+    # at the ramified primes 5 and 17 of d = 85: artin calls factorize never
+    factored = []
+
+    def counting(n):
+        factored.append(n)
+        return arith.factorize(n)
+
+    monkeypatch.setattr(matrix_orders, "factorize", counting)
+    for d in (5, 85):
+        _order_memo.clear()
+        artin_scan(ScanConfig(d=d, sequence="integers", bound=3000))
+    assert factored == []
+
+
+def test_spf_table_is_in_place_for_the_scan_alone(monkeypatch):
+    sizes = []
+    real = experiments._record_for
+
+    def recording(f, M, N):
+        sizes.append(len(matrix_orders._spf))
+        if N == 7 and fail:
+            raise InvariantError("synthetic")
+        return real(f, M, N)
+
+    monkeypatch.setattr(experiments, "_record_for", recording)
+    fail = False
+    assert len(artin_scan(ScanConfig(d=5, bound=100))) == 99
+    assert set(sizes) == {2 * 100 + 3} and not matrix_orders._spf
+    fail = True
+    sizes.clear()
+    with pytest.raises(InvariantError, match=r"^N=7: synthetic$"):
+        artin_scan(ScanConfig(d=5, bound=100))
+    assert set(sizes) == {2 * 100 + 3} and not matrix_orders._spf
+    factored = []
+
+    def counting(n):
+        factored.append(n)
+        return arith.factorize(n)
+
+    monkeypatch.setattr(matrix_orders, "factorize", counting)
+    _order_memo.clear()
+    assert mat_order_mod(FIB_MATRIX, 12) == 24
+    assert factored[0] == 12  # no table now: N is factored again
+
+
+def test_a_corrupted_spf_entry_raises_naming_its_n():
+    spf = arith._spf_table(200)
+    for n, wrong in ((91, 3), (91, 1), (91, 0), (97, 2), (64, 5)):
+        bad = spf[:]
+        bad[n] = wrong
+        # read directly, and for odd n from 2n, whose walk reaches n once
+        # its 2 is divided out
+        for m in (n, 2 * n) if n % 2 else (n,):
+            with pytest.raises(InvariantError, match=f"gives {wrong} at {n},"):
+                arith._spf_factors(bad, m)
+    with _spf_scope(200):
+        matrix_orders._spf[35] = 3
+        with pytest.raises(InvariantError, match="gives 3 at 35,"):
+            mat_order_mod(FIB_MATRIX, 35)
 
 
 def test_order_divisibility_along_divisors():
