@@ -3,9 +3,9 @@ mod a prime, the Kronecker symbol at a prime, and the base of the
 validated records.
 
 Everything here is exact; no floats. Numbers are plain Python ints and may
-be arbitrarily large. A scan over N <= bound also builds one table of
-smallest prime factors (_spf_table), from which every n it covers is
-factored by division alone (_spf_factors); factorize serves the rest.
+be arbitrarily large. A scan over N <= bound installs one table of smallest
+prime factors (_spf_scope); while it is in place, factorize and is_prime
+answer every n it covers from it (_spf_factors) and serve the rest.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import random
 from array import array
 from collections import namedtuple
+from contextlib import contextmanager
 from typing import NamedTuple
 
 
@@ -45,6 +46,8 @@ def is_square(n: int) -> bool:
 # correctly for every n < 3.3 * 10**24 (covers all of 2**64).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DET_LIMIT = 3317044064679887385961981
+# Most multiples of a prime _spf_table writes in one slice assignment.
+_SPF_BLOCK = 2**16
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -60,11 +63,14 @@ def primes_up_to(bound: int) -> list[int]:
 def _spf_table(bound: int) -> array:
     """The smallest prime factor of every n <= bound, as array('I'): entry n
     is n itself when n is 0, 1 or prime. Each prime p <= isqrt(bound) writes
-    p over its multiples from p*p on by slice assignment, the primes taken
-    in descending order, so the smallest prime of n writes last."""
+    p over its multiples from p*p on by slice assignment, _SPF_BLOCK at a
+    time so the temporary array stays short, the primes taken in descending
+    order, so the smallest prime of n writes last."""
     spf = array("I", range(bound + 1))
     for p in reversed(primes_up_to(math.isqrt(bound))):
-        spf[p * p :: p] = array("I", [p]) * len(range(p * p, bound + 1, p))
+        for lo in range(p * p, bound + 1, p * _SPF_BLOCK):
+            hi = min(lo + p * _SPF_BLOCK, bound + 1)
+            spf[lo:hi:p] = array("I", [p]) * len(range(lo, hi, p))
     return spf
 
 
@@ -86,6 +92,22 @@ def _spf_factors(spf: array, n: int) -> tuple[tuple[int, int], ...]:
             e += 1
         factors.append((p, e))
     return tuple(factors)
+
+
+# The running scan's table; empty outside a scan. Forked workers inherit it.
+_spf = array("I")
+
+
+@contextmanager
+def _spf_scope(bound: int):
+    """The smallest-prime-factor table of every n <= bound, in place for the
+    body of the with-statement and removed after it, raised or not."""
+    global _spf
+    _spf = _spf_table(bound)
+    try:
+        yield
+    finally:
+        _spf = array("I")
 
 
 _SMALL_PRIMES = tuple(primes_up_to(97))
@@ -113,11 +135,13 @@ def _mr_witness(n: int, a: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test.
 
-    Trial division by the primes up to 97 decides every n below 101**2.
-    Deterministic Miller-Rabin decides the rest below 3.3e24 (so everything
-    under 2**64). Above that, 64 Miller-Rabin rounds with bases derived
-    from a seeded generator; error probability below 4**-64 = 2**-128.
+    The scan's table decides every n it covers; trial division by the
+    primes up to 97 every n below 101**2. Deterministic Miller-Rabin decides
+    the rest below 3.3e24 (so everything under 2**64). Above that, 64
+    Miller-Rabin rounds with seeded bases; error probability below 2**-128.
     """
+    if n < len(_spf):
+        return n > 1 and _spf[n] == n
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -214,11 +238,14 @@ class Factorization(NamedTuple):
 
 
 def factorize(n: int) -> Factorization:
-    """Full factorization: trial division to 10**4, then Pollard rho (Brent)
-    on whatever is left, recursing until all cofactors are proven prime. A
-    cofactor left once trial division passes its square root is prime
-    without a test. ValueError when the Pollard runs would cost more than
-    _BRENT_BUDGET in all, each step weighted by its cofactor's 64-bit words."""
+    """Full factorization: read off the scan's table where it covers n, else
+    trial division to 10**4, then Pollard rho (Brent) on whatever is left,
+    recursing until all cofactors are proven prime. A cofactor left once
+    trial division passes its square root is prime without a test.
+    ValueError when the Pollard runs would cost more than _BRENT_BUDGET in
+    all, each step weighted by its cofactor's 64-bit words."""
+    if 0 < n < len(_spf):
+        return Factorization(n, _spf_factors(_spf, n))
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     m = n

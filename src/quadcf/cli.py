@@ -63,12 +63,14 @@ def parse_patterns(text: str) -> tuple[tuple[int, ...], ...]:
 
 def load_config(path: str) -> dict[str, str]:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(_MAX_CONFIG_BYTES + 1)
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}") from None
+    if len(data) > _MAX_CONFIG_BYTES:
+        raise UsageError(f"config {path} is larger than {_MAX_CONFIG_BYTES} bytes")
     out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(data.decode().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -113,6 +115,8 @@ MAX_CONVERGENTS = 10**4
 # Largest `unit --conductor`: its unit-group index factors the conductor and
 # p - 1 or p + 1 for each of its primes p, quick up to 18 digits.
 MAX_CONDUCTOR = 10**18
+# Largest --config file in bytes; one more is read at most, so /dev/zero fails.
+_MAX_CONFIG_BYTES = 2**16
 
 
 # ---- commands ----

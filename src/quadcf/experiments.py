@@ -16,7 +16,7 @@ import types
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .arith import InvariantError, is_prime, primes_up_to
+from .arith import InvariantError, _spf_scope, is_prime, primes_up_to
 from .class_geodesics import (
     TotalLength,
     _is_disc,
@@ -26,7 +26,7 @@ from .class_geodesics import (
     total_length,
 )
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
-from .matrix_orders import COMPOSITE, OrderRecord, _record_for, _spf_scope
+from .matrix_orders import COMPOSITE, OrderRecord, _record_for
 from .quad_orders import (
     OrderSpec,
     _squarefree_field,
@@ -50,6 +50,8 @@ class UsageError(ValueError):
 # it the root walk takes each a <= isqrt(disc), two for every pair, once
 # per root class, so the pairs bound its time too.
 MAX_ITEMS = 10**6
+# Most digits in a converge pattern: its c_w takes time quadratic in them.
+_MAX_PATTERN_DIGITS = 64
 
 
 class ScanConfig(NamedTuple):
@@ -87,7 +89,7 @@ def sequence_values(cfg: ScanConfig) -> list[int]:
     return ns
 
 
-def _spf_bound(cfg: ScanConfig) -> int:
+def _table_bound(cfg: ScanConfig) -> int:
     """How far a scan's smallest-prime-factor table reaches: every N <= bound,
     and every p - 1, p + 1 and 2(p + 1) of a prime p <= bound, the multiples
     of the orders mod p that the order of a matrix mod N is stripped from."""
@@ -263,13 +265,15 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     for w in cfg.patterns:
         if not w or any(a < 1 for a in w):
             raise UsageError(f"bad pattern {w}")
+        if len(w) > _MAX_PATTERN_DIGITS:
+            raise UsageError(f"a pattern may have at most {_MAX_PATTERN_DIGITS} digits")
     base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
     cf_expand(base)  # the bounded walk refuses a radicand too large before it is factored
     # surd_coords factors the radicand: its m is squarefree, so it is not factored again
     fdata = _squarefree_field(surd_coords(base)[0])
     patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
     ns = sequence_values(cfg)
-    with _spf_scope(_spf_bound(cfg)):
+    with _spf_scope(_table_bound(cfg)):
         return run_items(_converge_item, (base, fdata, patterns), ns, cfg.workers)
 
 
@@ -334,7 +338,7 @@ def artin_scan(cfg: ScanConfig) -> list[OrderRecord]:
     fdata = field_data(cfg.d)
     ctx = (fdata, phi(fdata, fdata.epsD))
     ns = sequence_values(cfg)
-    with _spf_scope(_spf_bound(cfg)):
+    with _spf_scope(_table_bound(cfg)):
         return run_items(_artin_item, ctx, ns, cfg.workers)
 
 

@@ -15,11 +15,9 @@ the same p^e again and again, so the order mod p^e is memoised per
 process on (M, p, e), in a dict of at most _MEMO_SIZE entries that
 evicts the least recently used.
 
-A scan installs one smallest-prime-factor table (arith._spf_table) around
-its items, beside the memo (_spf_scope): while it is in place, N, the
-multiples of the orders mod p and the orders themselves are factored from
-it, and N's primality is read off it, wherever they fall inside it;
-factorize and is_prime serve the rest.
+A scan installs one smallest-prime-factor table around its items (see
+arith); while it is in place, factorize and is_prime read N, the
+multiples of the orders mod p and the orders themselves off it.
 
 The witness mod N proves the order o: A = M^(o/q0) mod N for the least
 prime q0 of o shows M^(o/q0) != I, its power A^q0, which is M^o mod N,
@@ -47,19 +45,9 @@ from quad_orders at run time.
 from __future__ import annotations
 
 import math
-from array import array
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import (
-    InvariantError,
-    _spf_factors,
-    _spf_table,
-    checked_record,
-    factorize,
-    is_prime,
-    kronecker,
-)
+from .arith import InvariantError, checked_record, factorize, is_prime, kronecker
 
 if TYPE_CHECKING:  # annotations only: quad_orders imports this module
     from .quad_orders import FieldData
@@ -152,31 +140,6 @@ def _order_multiple(M: Mat2, p: int) -> int:
 # key is the least recently used
 _order_memo: dict[tuple[Mat2, int, int], tuple[int, tuple[int, ...]]] = {}
 _MEMO_SIZE = 4096
-# The running scan's smallest-prime-factor table; empty, covering no n,
-# outside a scan. Forked shares inherit it with the memo.
-_spf = array("I")
-
-
-@contextmanager
-def _spf_scope(bound: int):
-    """The smallest-prime-factor table of every n <= bound, in place for the
-    body of the with-statement and removed after it, raised or not."""
-    global _spf
-    _spf = _spf_table(bound)
-    try:
-        yield
-    finally:
-        _spf = array("I")
-
-
-def _factors(n: int) -> tuple[tuple[int, int], ...]:
-    """factorize(n).factors, read off the scan's table when it covers n."""
-    return _spf_factors(_spf, n) if n < len(_spf) else factorize(n).factors
-
-
-def _is_prime(n: int) -> bool:
-    """is_prime(n), read off the scan's table when it covers n."""
-    return (n > 1 and _spf[n] == n) if n < len(_spf) else is_prime(n)
 
 
 def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], bool]:
@@ -192,7 +155,7 @@ def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], b
     k = m * p ** (e - 1)
     if not _is_identity(_mat_pow_mod(M, k, n), n):
         raise InvariantError(f"candidate exponent {k} is not annihilating mod {n}")
-    primes = sorted({*(q for q, _ in _factors(m)), p})
+    primes = sorted({*factorize(m).primes, p})
     o = _least_exponent(M, n, k, primes, _is_identity)
     if len(_order_memo) >= _MEMO_SIZE:
         del _order_memo[next(iter(_order_memo))]
@@ -214,7 +177,7 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         raise ValueError("matrix is not invertible mod N")
     if N == 1:
         return 1
-    factors = _factors(N)
+    factors = factorize(N).factors
     o, primes = 1, set()
     for p, e in factors:
         op, qs, fresh = _prime_power_order(M, p, e)
@@ -255,7 +218,7 @@ def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:
     o = mat_order_mod(M, N)
     exponent = math.log(o) / math.log(N)
     split_type, is_max = COMPOSITE, None
-    if _is_prime(N):
+    if is_prime(N):
         k = kronecker(f.D, N)
         split_type = SPLIT if k == 1 else INERT if k == -1 else RAMIFIED
         if N != 2 and k:

@@ -62,6 +62,45 @@ def test_load_config(tmp_path):
         cli.load_config(str(tmp_path / "missing.cfg"))
 
 
+def test_config_over_64_kib_is_refused(tmp_path, capsys):
+    # valid comment lines one byte over the cap: refused unparsed; at the cap
+    # the same lines are read
+    cap = 2**16
+    text = ("# " + "x" * 61 + "\n") * (cap // 64) + "#"
+    cfgfile = tmp_path / "big.cfg"
+    cfgfile.write_text(text)
+    assert run(["artin", "--bound", "6", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"error: config {cfgfile} is larger than {cap} bytes\n"
+    cfgfile.write_text(text[:-1])
+    assert run(["artin", "--bound", "6", "--config", str(cfgfile)]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_config_is_refused_in_bounded_memory():
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = _cli_process(["artin", "--bound", "6", "--config", "/dev/zero"],
+                       preexec_fn=cap_address_space, capture_output=True, text=True)
+    assert (res.returncode, res.stderr) == (2, "error: config /dev/zero is larger than 65536 bytes\n")
+
+
+def test_converge_refuses_a_pattern_over_64_digits(tmp_path, capsys):
+    argv = ["converge", "--d", "2", "--bound", "3", "--patterns"]
+    assert run(argv + [",".join(["1"] * 64)]) == 0
+    capsys.readouterr()
+    assert run(argv + [",".join(["1"] * 65)]) == 2
+    assert capsys.readouterr().err == "error: a pattern may have at most 64 digits\n"
+    # a config file passes one of 32 000 digits, whose c_w alone took seconds
+    cfgfile = tmp_path / "long.cfg"
+    cfgfile.write_text("patterns = " + ",".join(["1"] * 32_000) + "\n")
+    assert run(["converge", "--d", "2", "--bound", "3", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == "error: a pattern may have at most 64 digits\n"
+
+
 def test_expand_golden_ratio(capsys):
     assert run(["expand", "--p", "1", "--r", "1", "--d", "5", "--q", "2"]) == 0
     out = capsys.readouterr().out
@@ -468,9 +507,11 @@ BENCH_PINS = json.loads((Path(SRC).parent / "bench" / "golden.json").read_text()
 
 @pytest.mark.parametrize("command", sorted(BENCH_PINS))
 def test_bench_tables_match_their_golden_pins(command, tmp_path):
-    # converge and artin at one and two workers; duke takes no --workers
+    # converge and artin at one and two workers, and at every usable CPU
+    # where there are more; duke takes no --workers
     argv = command.split(" ")
-    for workers in ([None] if argv[0] == "duke" else ["1", "2"]):
+    cpus = experiments._usable_cpus()
+    for workers in ([None] if argv[0] == "duke" else ["1", "2"] + [str(cpus)] * (cpus > 2)):
         out = tmp_path / f"table-{workers}"
         extra = [] if workers is None else ["--workers", workers]
         assert run(argv + extra + ["--output", str(out)]) == 0

@@ -70,6 +70,7 @@ def test_validate_config_errors():
         ScanConfig(patterns=()),
         ScanConfig(patterns=((),)),
         ScanConfig(patterns=((0,),)),
+        ScanConfig(patterns=((1,), (1,) * 65)),
     ]:
         with pytest.raises(UsageError):
             converge_scan(bad)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -12,18 +13,12 @@ from quadcf.matrix_orders import (
     OrderRecord,
     mat_order_mod,
 )
+import quadcf
 from quadcf import arith, experiments, matrix_orders
-from quadcf.arith import InvariantError, factorize
-from quadcf.experiments import ScanConfig, artin_scan
+from quadcf.arith import InvariantError, _spf_scope, factorize
+from quadcf.experiments import ScanConfig, artin_scan, converge_scan
 from quadcf.quad_orders import AlgInt, Mat2, field_data, phi
-from quadcf.matrix_orders import (
-    _factors,
-    _is_prime,
-    _mat_pow_mod,
-    _order_memo,
-    _prime_power_order,
-    _spf_scope,
-)
+from quadcf.matrix_orders import _mat_pow_mod, _order_memo, _prime_power_order
 from helpers import (
     brute_mat_order,
     brute_pisano,
@@ -405,53 +400,87 @@ def test_artin_rows_match_the_jacobi_oracle(sequence):
     assert ((5, (COMPOSITE, None)) in seen) == (sequence == "integers")
 
 
-def test_artin_scan_tests_each_n_for_primality_once(monkeypatch):
-    # once per N, read off the scan's table, which covers every N: the scan
-    # never calls is_prime
-    calls, slow = [], []
-    real = matrix_orders._is_prime
+def _record_table_reads(monkeypatch, name, modules):
+    """Every n the function arith.<name> is called with through the given
+    modules' bindings, each with the size of the table installed then."""
+    calls = []
+    real = getattr(arith, name)
 
-    def counting(n):
-        calls.append(n)
+    def recording(n):
+        calls.append((n, len(arith._spf)))
         return real(n)
 
-    def slow_counting(n):
-        slow.append(n)
-        return arith.is_prime(n)
+    for mod in modules:
+        monkeypatch.setattr(mod, name, recording)
+    return calls
 
-    monkeypatch.setattr(matrix_orders, "_is_prime", counting)
-    monkeypatch.setattr(matrix_orders, "is_prime", slow_counting)
+
+def _assert_each_n_tested_once(monkeypatch, scan, module):
+    # once per N, read off the scan's table, which covers every N
+    calls = _record_table_reads(monkeypatch, "is_prime", [module])
     for sequence, ns in (("integers", list(range(2, 501))), ("primes", sieve_primes(500))):
         calls.clear()
-        artin_scan(ScanConfig(d=5, sequence=sequence, bound=500))
-        assert calls == ns and slow == [], sequence
+        scan(ScanConfig(d=5, sequence=sequence, bound=500))
+        assert calls == [(n, 2 * 500 + 3) for n in ns], sequence
+
+
+def test_artin_scan_tests_each_n_for_primality_once(monkeypatch):
+    _assert_each_n_tested_once(monkeypatch, artin_scan, matrix_orders)
+
+
+def test_converge_scan_tests_each_n_for_primality_once(monkeypatch):
+    _assert_each_n_tested_once(monkeypatch, converge_scan, experiments)
 
 
 def test_spf_table_matches_factorize_and_is_prime():
-    bound = 10**5
+    # the oracle is taken outside the scope, where neither reads a table;
+    # the bound is a prime's square, whose first multiple is the last entry
+    bound = 317**2
+    factored = [factorize(n) for n in range(1, bound + 2)]
+    prime = [arith.is_prime(n) for n in range(-2, bound + 2)]
     with _spf_scope(bound):
-        assert len(matrix_orders._spf) == bound + 1
-        for n in range(1, bound + 1):
-            assert _factors(n) == factorize(n).factors, n
-        for n in range(bound + 1):
-            assert _is_prime(n) == arith.is_prime(n), n
-    assert not matrix_orders._spf
+        assert len(arith._spf) == bound + 1
+        # bound + 1 lies above the table and takes the usual path
+        for n in range(1, bound + 2):
+            assert factorize(n) == factored[n - 1], n
+        for n in range(-2, bound + 2):
+            assert arith.is_prime(n) == prime[n + 2], n
+        for n in (0, -1, -12):
+            with pytest.raises(ValueError):
+                factorize(n)
+    assert not arith._spf
+
+
+def test_spf_table_is_the_same_in_blocks_of_any_size(monkeypatch):
+    # the default block splits the multiples of 2 and 3 here; one block
+    # of 2**20 writes each prime's multiples in one slice
+    bound = 2**18 + 5
+    want = arith._spf_table(bound)
+    for block in (7, 1000, 2**20):
+        monkeypatch.setattr(arith, "_SPF_BLOCK", block)
+        assert arith._spf_table(bound) == want, block
 
 
 def test_spf_table_covers_what_the_scan_factors(monkeypatch):
     # N <= bound, and p - 1, p + 1 and 2(p + 1) for p <= bound; also p(p - 1)
-    # at the ramified primes 5 and 17 of d = 85: artin calls factorize never
-    factored = []
-
-    def counting(n):
-        factored.append(n)
-        return arith.factorize(n)
-
-    monkeypatch.setattr(matrix_orders, "factorize", counting)
-    for d in (5, 85):
+    # at the ramified primes 5 and 17 of d = 85, and the orders the unit
+    # index is stripped from: every call made while the table is in place
+    # falls inside it, and before it only the set-up factors the radicand
+    modules = [m for m in vars(quadcf).values() if isinstance(m, types.ModuleType)]
+    reads = {name: _record_table_reads(monkeypatch, name, [m for m in modules if name in vars(m)])
+             for name in ("factorize", "is_prime")}
+    for scan, d, sequence, bound in ((artin_scan, 5, "integers", 3000),
+                                     (artin_scan, 85, "integers", 3000),
+                                     (converge_scan, 2, "primes", 2000)):
         _order_memo.clear()
-        artin_scan(ScanConfig(d=d, sequence="integers", bound=3000))
-    assert factored == []
+        for calls in reads.values():
+            calls.clear()
+        scan(ScanConfig(d=d, sequence=sequence, bound=bound))
+        for name, calls in reads.items():
+            outside = [n for n, size in calls if not size]
+            inside = [(n, size) for n, size in calls if size]
+            assert outside == ([d] if name == "factorize" else []), (scan, d, name)
+            assert len(inside) >= 303 and all(n < size for n, size in inside), (scan, d, name)
 
 
 def test_spf_table_is_in_place_for_the_scan_alone(monkeypatch):
@@ -459,7 +488,7 @@ def test_spf_table_is_in_place_for_the_scan_alone(monkeypatch):
     real = experiments._record_for
 
     def recording(f, M, N):
-        sizes.append(len(matrix_orders._spf))
+        sizes.append(len(arith._spf))
         if N == 7 and fail:
             raise InvariantError("synthetic")
         return real(f, M, N)
@@ -467,22 +496,23 @@ def test_spf_table_is_in_place_for_the_scan_alone(monkeypatch):
     monkeypatch.setattr(experiments, "_record_for", recording)
     fail = False
     assert len(artin_scan(ScanConfig(d=5, bound=100))) == 99
-    assert set(sizes) == {2 * 100 + 3} and not matrix_orders._spf
+    assert set(sizes) == {2 * 100 + 3} and not arith._spf
     fail = True
     sizes.clear()
     with pytest.raises(InvariantError, match=r"^N=7: synthetic$"):
         artin_scan(ScanConfig(d=5, bound=100))
-    assert set(sizes) == {2 * 100 + 3} and not matrix_orders._spf
-    factored = []
+    assert set(sizes) == {2 * 100 + 3} and not arith._spf
+    read = []
+    real_read = arith._spf_factors
 
-    def counting(n):
-        factored.append(n)
-        return arith.factorize(n)
+    def reading(spf, n):
+        read.append(n)
+        return real_read(spf, n)
 
-    monkeypatch.setattr(matrix_orders, "factorize", counting)
+    monkeypatch.setattr(arith, "_spf_factors", reading)
     _order_memo.clear()
     assert mat_order_mod(FIB_MATRIX, 12) == 24
-    assert factored[0] == 12  # no table now: N is factored again
+    assert read == []  # no table now: N is factored by trial division
 
 
 def test_a_corrupted_spf_entry_raises_naming_its_n():
@@ -496,9 +526,14 @@ def test_a_corrupted_spf_entry_raises_naming_its_n():
             with pytest.raises(InvariantError, match=f"gives {wrong} at {n},"):
                 arith._spf_factors(bad, m)
     with _spf_scope(200):
-        matrix_orders._spf[35] = 3
+        arith._spf[35] = 3
+        with pytest.raises(InvariantError, match="gives 3 at 35,"):
+            factorize(35)
         with pytest.raises(InvariantError, match="gives 3 at 35,"):
             mat_order_mod(FIB_MATRIX, 35)
+        # is_prime reads the entry of n alone: n is prime when it is n
+        arith._spf[91] = 91
+        assert arith.is_prime(91)
 
 
 def test_order_divisibility_along_divisors():
