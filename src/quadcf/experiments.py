@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import types
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from .arith import InvariantError, _spf_scope, is_prime, primes_up_to
@@ -80,8 +80,8 @@ def validate_config(cfg: ScanConfig) -> None:
         raise UsageError("workers must be >= 1")
 
 
-def sequence_values(cfg: ScanConfig) -> list[int]:
-    ns = primes_up_to(cfg.bound) if cfg.sequence == "primes" else list(range(2, cfg.bound + 1))
+def sequence_values(cfg: ScanConfig) -> Sequence[int]:
+    ns = primes_up_to(cfg.bound) if cfg.sequence == "primes" else range(2, cfg.bound + 1)
     if cfg.coprime_filter:
         ns = [n for n in ns if math.gcd(n, cfg.coprime_filter) == 1]
     if not ns:
@@ -98,26 +98,26 @@ def _table_bound(cfg: ScanConfig) -> int:
 
 # ---- item runner ----
 
-def run_items(kernel, ctx, ns: list[int], workers: int, label: str = "N") -> list:
-    """The rows kernel(ctx, n) returns for each n, concatenated in the order
-    of ns.
+def run_items(kernel, ctx, ns: Sequence[int], workers: int, label: str = "N") -> list:
+    """kernel(ctx, n) for each n, one value per item in the order of ns.
 
     ctx is built once by the caller. With more than one process, ns is
     dealt out round-robin into one share per process (ns[i::k]), so every
-    share holds small and large N alike, and the per-item results are put
-    back in input order. The calling process works share 0 itself; each
-    other share runs in a child made by POSIX fork, which inherits kernel
-    and ctx and sends its rows back pickled through a pipe. The process
-    count never exceeds the CPUs this process may run on or the item
-    count, so no share is empty; where os.fork does not exist, every item
-    runs in the calling process. The output does not depend on the worker
-    count.
+    share holds small and large N alike, and each share's values are put
+    back in input order with one slice assignment. The calling process
+    works share 0 itself; each other share runs in a child made by POSIX
+    fork, which inherits kernel and ctx and sends its values back pickled
+    through a pipe. The process count never exceeds the CPUs this process
+    may run on or the item count, so no share is empty; where os.fork does
+    not exist, every item runs in the calling process. The output does not
+    depend on the worker count.
 
     Each share stops at its first failing item, and the exception raised
     is that of the first failing n in the order of ns, as with one worker.
     An InvariantError's message is prefixed with f"{label}={n}: ". A child
-    that dies without sending its rows raises an InvariantError naming its
-    share; no child outlives the call.
+    that dies without sending its values raises an InvariantError naming
+    its share, and an OS that refuses a pipe or a fork raises UsageError;
+    no child outlives the call.
     """
     procs = min(workers, _usable_cpus(), len(ns))
     if procs <= 1 or not hasattr(os, "fork"):
@@ -129,16 +129,18 @@ def run_items(kernel, ctx, ns: list[int], workers: int, label: str = "N") -> lis
     failures = [(i + f[0] * k, f[1]) for i, (_, f) in enumerate(parts) if f]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    per_item = [None] * len(ns)
-    for i, (rows, _) in enumerate(parts):
-        per_item[i::k] = rows
-    return [row for rows in per_item for row in rows]
+    if k == 1:
+        return parts[0][0]  # in input order already: no second list
+    out = [None] * len(ns)
+    for i, (values, _) in enumerate(parts):
+        out[i::k] = values
+    return out
 
 
 def _item_rows(kernel, ctx, label: str,
-               ns: list[int]) -> tuple[list[list], tuple[int, Exception] | None]:
-    """The rows of each n up to the first that raises, and that n's index
-    in ns with its exception (None when every n succeeds)."""
+               ns: Sequence[int]) -> tuple[list, tuple[int, Exception] | None]:
+    """kernel(ctx, n) of each n up to the first that raises, and that n's
+    index in ns with its exception (None when every n succeeds)."""
     out = []
     for j, n in enumerate(ns):
         try:
@@ -159,7 +161,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _forked_item_rows(kernel, ctx, label: str, shares: list[list[int]]) -> list:
+def _forked_item_rows(kernel, ctx, label: str, shares: list[Sequence[int]]) -> list:
     """_item_rows of each share: shares[0] in this process, each other share
     in a forked child that pickles its result into a pipe and exits."""
     import pickle
@@ -168,8 +170,14 @@ def _forked_item_rows(kernel, ctx, label: str, shares: list[list[int]]) -> list:
     pending = []  # (pid, read end of its pipe) of the children not yet reaped
     try:
         for share in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = r, w = os.pipe()
+                pid = os.fork()
+            except OSError as e:
+                for fd in fds:
+                    os.close(fd)
+                raise UsageError(f"cannot start worker processes: {e}") from None
             if pid == 0:
                 code = 1
                 try:
@@ -188,7 +196,10 @@ def _forked_item_rows(kernel, ctx, label: str, shares: list[list[int]]) -> list:
         for share in shares[1:]:
             pid, r = pending[0]
             with open(r, "rb", closefd=False) as f:
-                data = f.read()
+                try:
+                    part = pickle.load(f)
+                except (EOFError, pickle.UnpicklingError):
+                    part = None  # cut short: the exit status below says how the child failed
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pending.pop(0)
             os.close(r)
@@ -196,7 +207,7 @@ def _forked_item_rows(kernel, ctx, label: str, shares: list[list[int]]) -> list:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise InvariantError(
                     f"the worker of {len(share)} items from {label}={share[0]} {how}")
-            parts.append(pickle.loads(data))
+            parts.append(part)
         return parts
     finally:
         # on an error or interrupt here: stop and reap every child left
@@ -274,7 +285,8 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
     ns = sequence_values(cfg)
     with _spf_scope(_table_bound(cfg)):
-        return run_items(_converge_item, (base, fdata, patterns), ns, cfg.workers)
+        per_n = run_items(_converge_item, (base, fdata, patterns), ns, cfg.workers)
+    return [row for rows in per_n for row in rows]
 
 
 def converge_stats(rows: list[DeviationRow]) -> dict:
@@ -328,9 +340,9 @@ def converge_summary_lines(stats: dict) -> list[str]:
 
 # ---- order census ----
 
-def _artin_item(ctx, n: int) -> list[OrderRecord]:
+def _artin_item(ctx, n: int) -> OrderRecord:
     fdata, M = ctx
-    return [_record_for(fdata, M, n)]
+    return _record_for(fdata, M, n)
 
 
 def artin_scan(cfg: ScanConfig) -> list[OrderRecord]:
@@ -401,10 +413,10 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
     return out
 
 
-def _duke_item(fundamental_only: bool, disc: int) -> list[TotalLength]:
+def _duke_item(fundamental_only: bool, disc: int) -> TotalLength:
     if fundamental_only:  # duke_discs factored disc to keep it: (D0, f) = (disc, 1)
-        return [_total_length(disc, class_number(disc), disc, 1)]
-    return [total_length(disc)]
+        return _total_length(disc, class_number(disc), disc, 1)
+    return total_length(disc)
 
 
 def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[TotalLength]:

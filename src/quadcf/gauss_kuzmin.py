@@ -73,7 +73,11 @@ class GaussMeasure(NamedTuple):
         return self.ratio.denominator
 
     def as_float(self) -> float:
-        # big-int logs: exact to ~1 ulp even when continuants are huge
+        """log2(ratio) as log2(num) - log2(den). The difference cancels as
+        the measure shrinks: the relative error is at most 1e-9 for patterns
+        of at most 3 digits, each <= 8, but 1.3e-7 at (1,)*20 and 0.5 % at
+        (1,)*30, and (1,)*40 gives 0.0. Every pinned converge table holds
+        these values, so they stay as they are."""
         return (math.log2(self.ratio.numerator) - math.log2(self.ratio.denominator))
 
 

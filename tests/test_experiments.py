@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -82,7 +83,9 @@ def test_validate_config_errors():
 
 
 def test_sequence_values():
-    assert sequence_values(ScanConfig(bound=10)) == list(range(2, 11))
+    integers = sequence_values(ScanConfig(bound=10))
+    assert list(integers) == list(range(2, 11))
+    assert isinstance(integers, range)  # not a list of bound - 1 ints
     assert sequence_values(ScanConfig(bound=30, sequence="primes")) == sieve_primes(30)
     assert sequence_values(ScanConfig(bound=12, coprime_filter=6)) == [5, 7, 11]
     with pytest.raises(UsageError, match="coprime"):
@@ -154,13 +157,14 @@ def test_artin_scan_parallel_matches_serial():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Record the shares of each forked run and count the forks, which are
-    real; the runner sees two usable CPUs unless a test sets its own."""
+    """Record the shares of each forked run, as lists, and count the forks,
+    which are real; the runner sees two usable CPUs unless a test sets its
+    own."""
     seen = SimpleNamespace(shares=[], count=0)
     real_run, real_fork = experiments._forked_item_rows, os.fork
 
     def run(kernel, ctx, label, shares):
-        seen.shares.append(shares)
+        seen.shares.append([list(share) for share in shares])  # integer shares are ranges
         return real_run(kernel, ctx, label, shares)
 
     def fork():
@@ -253,6 +257,24 @@ def test_item_rows_stop_at_the_first_failure():
     assert experiments._item_rows(kernel, "c", "N", [2, 3]) == ([["c", 2], ["c", 3]], None)
 
 
+@pytest.mark.parametrize("workers, ratio", [(1, 1.15), (2, 1.35)])
+def test_artin_scan_peaks_near_what_it_returns(monkeypatch, workers, ratio):
+    # each record is held once: beside the records, the runner keeps the
+    # list of each share and, with several processes, the list it returns.
+    # One-record lists, a flattened copy and each child's whole pickle
+    # peaked at 1.44x and 1.81x of what the scan returns.
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(matrix_orders, "_order_memo", {})  # as in a fresh process
+    tracemalloc.start()
+    try:
+        recs = artin_scan(ScanConfig(d=5, bound=10**4, workers=workers))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 10**4 - 1
+    assert peak <= ratio * kept, (peak, kept)
+
+
 def run_python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports quadcf from src/."""
     env = dict(os.environ)
@@ -296,6 +318,57 @@ def test_a_dead_worker_fails_the_scan():
                           f"was killed by signal {signal.SIGKILL.value}\n")
 
 
+def test_a_worker_killed_while_it_writes_fails_the_scan():
+    # half a pickle in the pipe: the parent's load fails, and the exit status names the cause
+    code = """if 1:
+        import os, pickle, signal
+        from quadcf import cli
+        os.sched_getaffinity = lambda pid: {0, 1}
+
+        def half_dump(obj, f, protocol=None):
+            data = pickle.dumps(obj, protocol)
+            f.write(data[:len(data) // 2])
+            f.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        pickle.dump = half_dump
+        print(cli.main(["artin", "--d", "5", "--sequence", "integers", "--bound", "11",
+                        "--workers", "2", "--output", os.devnull]))
+    """ + _CHILDREN_LEFT
+    res = run_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["3", "no child left", ""]
+    assert res.stderr == ("internal invariant violated: the worker of 5 items from N=3 "
+                          f"was killed by signal {signal.SIGKILL.value}\n")
+
+
+def test_a_refused_fork_exits_2_with_one_line():
+    # at 3 CPUs the runner forks twice; the second fork fails as under a process limit
+    code = """if 1:
+        import errno, os
+        from quadcf import cli
+        os.sched_getaffinity = lambda pid: {0, 1, 2}
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        os.fork = fork
+        fds = sorted(os.listdir("/dev/fd"))
+        print(cli.main(["artin", "--d", "5", "--sequence", "integers", "--bound", "11",
+                        "--workers", "3", "--output", os.devnull]))
+        print("fds closed" if sorted(os.listdir("/dev/fd")) == fds else "fds left open")
+    """ + _CHILDREN_LEFT
+    res = run_python(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n") == ["2", "fds closed", "no child left", ""]
+    reason = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    assert res.stderr == f"error: cannot start worker processes: {reason}\n"
+
+
 def test_an_interrupt_in_the_callers_share_reaps_every_child():
     code = """if 1:
         import os, time
@@ -330,11 +403,18 @@ def test_converge_setup_factors_the_radicand_once(monkeypatch):
 
     for mod in (quad_orders, matrix_orders, class_geodesics, experiments):
         monkeypatch.setattr(mod, "factorize", counting, raising=False)
-    # stop before the items: only the set-up runs
-    monkeypatch.setattr(experiments, "run_items", lambda kernel, ctx, ns, workers: ctx)
+    # stop before the items: only the set-up runs, and each item gets no rows
+    ctxs = []
+
+    def setup_only(kernel, ctx, ns, workers):
+        ctxs.append(ctx)
+        return [[] for _ in ns]
+
+    monkeypatch.setattr(experiments, "run_items", setup_only)
     for p, r, d, q in ((0, 1, 2, 1), (1, 3, 5, 2), (0, 1, 1001, 1), (-2, 7, 10**18 + 1, 5)):
         factored.clear()
-        base, fdata, _ = converge_scan(ScanConfig(p=p, r=r, d=d, q=q))
+        assert converge_scan(ScanConfig(p=p, r=r, d=d, q=q)) == []
+        base, fdata, _ = ctxs.pop()
         assert factored == [base.D]
         assert fdata == quad_orders.field_data(d)
 
@@ -400,7 +480,7 @@ def test_duke_scan_hands_its_discriminants_to_the_runner(monkeypatch):
 
     def recording(kernel, ctx, ns, workers, label="N"):
         calls.append((ns, workers, label))
-        return [row for n in ns for row in kernel(ctx, n)]
+        return [kernel(ctx, n) for n in ns]  # one value per item
 
     monkeypatch.setattr(experiments, "run_items", recording)
     for dmin, dmax, fundamental_only in ((5, 60, False), (5, 60, True), (100, 130, False)):

@@ -1,6 +1,9 @@
+import decimal
+import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -78,6 +81,21 @@ def test_measure_as_float_matches_log2():
     assert isinstance(g, GaussMeasure)
     assert abs(g.as_float() - math.log2(g.ratio)) < 1e-15
     assert g.as_float() > 0
+
+
+def test_measure_as_float_precision_on_short_patterns():
+    # every pinned converge table takes c_w of patterns of at most 3 digits,
+    # each <= 8; there log2(num) - log2(den) keeps a relative error <= 1e-9
+    # (3.7e-10 at worst, at (6, 8, 8) and its reverse), though it cancels
+    # for the small measures of long patterns
+    ctx = decimal.Context(prec=60)
+    ln2 = ctx.ln(Decimal(2))
+    patterns = [w for k in (1, 2, 3) for w in itertools.product(range(1, 9), repeat=k)]
+    assert len(patterns) == 584
+    for w in patterns:
+        m = c_w(w)
+        exact = ctx.divide(ctx.ln(ctx.divide(Decimal(m.num), Decimal(m.den))), ln2)
+        assert abs(Decimal(m.as_float()) - exact) <= Decimal("1e-9") * exact, w
 
 
 def test_pattern_frequency_golden_ratio():
