@@ -34,7 +34,10 @@ as well.
 
 Every power M^k mod n comes from the pair (U_k, U_(k-1)) of the Lucas
 sequence of M's characteristic polynomial (Cayley-Hamilton), carried up
-the bits of k on two residues instead of four matrix entries.
+the bits of k on two residues instead of four matrix entries (_lucas).
+A power that is only tested, against I or for being scalar, is read off
+the pair and M's entries without building the matrix; the entries, trace
+and det are reduced mod n once per (M, n) (_reduce).
 
 Mat2 lives here, with the code that powers it. quad_orders builds its
 matrices (phi) and strips the unit-group and +-I indices out of
@@ -82,39 +85,89 @@ class Mat2(NamedTuple):
         )
 
 
-def _mat_pow_mod(M: Mat2, k: int, n: int) -> Mat2:
-    """M^k mod n from the Lucas pair of M's characteristic polynomial.
+def _reduce(M: Mat2, n: int) -> tuple[int, int, int, int, int, int]:
+    """(a, b, c, d, trace, det) of M, each reduced mod n: what the power
+    tests and _power read, computed once per (M, n)."""
+    a, b, c, d = M.a % n, M.b % n, M.c % n, M.d % n
+    return a, b, c, d, (a + d) % n, (a * d - b * c) % n
+
+
+def _lucas(t: int, det: int, k: int, n: int) -> tuple[int, int]:
+    """(U_k, U_(k-1)) mod n for k >= 1, where t and det are M's trace and
+    determinant reduced mod n.
 
     By Cayley-Hamilton M^k = U_k*M - det*U_(k-1)*I, where U_0 = 0, U_1 = 1,
-    U_(j+1) = t*U_j - det*U_(j-1) and t = trace M. A ladder over the bits of
-    k carries (U_j, U_(j-1)) mod n: doubling takes it to (U_2j, U_(2j-1))
+    U_(j+1) = t*U_j - det*U_(j-1). A ladder over the bits of k carries
+    (U_j, U_(j-1)) mod n: doubling takes it to (U_2j, U_(2j-1))
     = (U_j*(t*U_j - 2*det*U_(j-1)), U_j^2 - det*U_(j-1)^2), and a set bit
     steps it to (U_(j+1), U_j). That is five products per doubling and two
-    per set bit, where 2x2 square and multiply needs five and eight.
+    per set bit, where 2x2 square and multiply needs five and eight. The
+    matrix of a unit has det = +-1, which the ladder steps without the det
+    products: four per doubling and one per set bit.
     """
-    a, b, c, d = M.a % n, M.b % n, M.c % n, M.d % n
+    u, v = 1, 0  # (U_j, U_(j-1)) at j = 1, the leading bit of k
+    if det == 1:
+        for bit in bin(k)[3:]:
+            u, v = u * (t * u - 2 * v) % n, (u * u - v * v) % n
+            if bit == "1":
+                u, v = (t * u - v) % n, u
+    elif det == n - 1:  # det = -1
+        for bit in bin(k)[3:]:
+            u, v = u * (t * u + 2 * v) % n, (u * u + v * v) % n
+            if bit == "1":
+                u, v = (t * u + v) % n, u
+    else:
+        for bit in bin(k)[3:]:
+            dv = det * v % n
+            u, v = u * (t * u - 2 * dv) % n, (u * u - dv * v) % n
+            if bit == "1":
+                u, v = (t * u - det * v) % n, u
+    return u, v
+
+
+def _power(R: tuple, k: int, n: int) -> tuple[int, int, int, int, int, int]:
+    """_reduce(M^k, n) from R = _reduce(M, n), for k >= 1."""
+    a, b, c, d, t, det = R
+    u, v = _lucas(t, det, k, n)
+    dv = det * v
+    a, b, c, d = (u * a - dv) % n, u * b % n, u * c % n, (u * d - dv) % n
+    return a, b, c, d, (a + d) % n, (a * d - b * c) % n
+
+
+def _is_identity_power(R: tuple, k: int, n: int) -> bool:
+    """M^k = I mod n, for R = _reduce(M, n) and k >= 1: U_k*b = U_k*c = 0
+    and U_k*a - det*U_(k-1) = U_k*d - det*U_(k-1) = 1 mod n."""
+    a, b, c, d, t, det = R
+    u, v = _lucas(t, det, k, n)
+    if u * b % n or u * c % n:
+        return False
+    dv = det * v
+    return (u * a - dv) % n == (u * d - dv) % n == 1 % n
+
+
+def _is_scalar_power(R: tuple, k: int, n: int) -> bool:
+    """M^k is scalar mod n, for R = _reduce(M, n) and k >= 1: U_k*b = U_k*c
+    = U_k*(a - d) = 0 mod n."""
+    a, b, c, d, t, det = R
+    u = _lucas(t, det, k, n)[0]
+    return not (u * b % n or u * c % n or u * (a - d) % n)
+
+
+def _mat_pow_mod(M: Mat2, k: int, n: int) -> Mat2:
+    """M^k mod n for k >= 0, built from the Lucas pair (_lucas)."""
+    if k < 0:
+        raise ValueError("negative exponent")
     if not k:
         return Mat2(1 % n, 0, 0, 1 % n)
-    t, det = (a + d) % n, (a * d - b * c) % n
-    u, v = 1, 0  # (U_j, U_(j-1)) at j = 1, the leading bit of k
-    for bit in bin(k)[3:]:
-        dv = det * v % n
-        u, v = u * (t * u - 2 * dv) % n, (u * u - dv * v) % n
-        if bit == "1":
-            u, v = (t * u - det * v) % n, u
-    dv = det * v
-    return Mat2((u * a - dv) % n, u * b % n, u * c % n, (u * d - dv) % n)
+    return Mat2(*_power(_reduce(M, n), k, n)[:4])
 
 
-def _is_identity(M: Mat2, n: int) -> bool:
-    return M.b == 0 and M.c == 0 and M.a == M.d == 1 % n
-
-
-def _least_exponent(M: Mat2, n: int, k: int, primes, accept) -> int:
-    """Least j >= 1 with accept(M^j mod n, n), given a multiple k of it and
-    every prime of k. The accepted j must form a subgroup of Z."""
+def _least_exponent(R: tuple, n: int, k: int, primes, test) -> int:
+    """Least j >= 1 with test(R, j, n), given a multiple k of it and every
+    prime of k; R = _reduce(M, n), and test is a power test such as
+    _is_identity_power. The accepted j must form a subgroup of Z."""
     for q in primes:
-        while k % q == 0 and accept(_mat_pow_mod(M, k // q, n), n):
+        while k % q == 0 and test(R, k // q, n):
             k //= q
     return k
 
@@ -151,12 +204,13 @@ def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], b
         _order_memo[key] = entry  # re-inserted as the most recently used
         return (*entry, False)
     n = p**e
+    R = _reduce(M, n)
     m = _order_multiple(M, p)
     k = m * p ** (e - 1)
-    if not _is_identity(_mat_pow_mod(M, k, n), n):
+    if not _is_identity_power(R, k, n):
         raise InvariantError(f"candidate exponent {k} is not annihilating mod {n}")
     primes = sorted({*factorize(m).primes, p})
-    o = _least_exponent(M, n, k, primes, _is_identity)
+    o = _least_exponent(R, n, k, primes, _is_identity_power)
     if len(_order_memo) >= _MEMO_SIZE:
         del _order_memo[next(iter(_order_memo))]
     _order_memo[key] = entry = o, tuple(q for q in primes if o % q == 0)
@@ -188,17 +242,18 @@ def mat_order_mod(M: Mat2, N: int) -> int:
     # the witness over the primes of o: a wrong memo entry may list others,
     # and o // q0 must be exact for A^q0 to be M^o
     qs = sorted(q for q in primes if o % q == 0)
+    R = _reduce(M, N)
     if not qs:  # o = 1
-        if not _is_identity(_mat_pow_mod(M, o, N), N):
+        if not _is_identity_power(R, o, N):
             raise InvariantError("claimed order does not annihilate")
         return o
-    A = _mat_pow_mod(M, o // qs[0], N)
-    if _is_identity(A, N):
+    A = _power(R, o // qs[0], N)
+    if A[:4] == (1 % N, 0, 0, 1 % N):
         raise InvariantError("claimed order is not minimal")
-    if not _is_identity(_mat_pow_mod(A, qs[0], N), N):
+    if not _is_identity_power(A, qs[0], N):
         raise InvariantError("claimed order does not annihilate")
     for q in qs[1:]:
-        if _is_identity(_mat_pow_mod(M, o // q, N), N):
+        if _is_identity_power(R, o // q, N):
             raise InvariantError("claimed order is not minimal")
     return o
 

@@ -27,7 +27,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import InvariantError, checked_record, factorize, is_square
-from .matrix_orders import Mat2, _least_exponent, _mat_pow_mod, mat_order_mod
+from .matrix_orders import (
+    Mat2,
+    _is_scalar_power,
+    _least_exponent,
+    _mat_pow_mod,
+    _reduce,
+    mat_order_mod,
+)
 from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
 
 
@@ -208,7 +215,7 @@ def unit_group_index(f: FieldData, N: int) -> int:
         return 1
     M = phi(f, f.epsD)
     o = mat_order_mod(M, N)
-    return _least_exponent(M, N, o, factorize(o).primes, Mat2.is_scalar_mod)
+    return _least_exponent(_reduce(M, N), N, o, factorize(o).primes, _is_scalar_power)
 
 
 def R_of(f: FieldData, N: int) -> int:

@@ -227,6 +227,31 @@ def ring_order_mod(f, alpha, N: int) -> int:
     raise RuntimeError("order search exceeded the group size")
 
 
+def brute_unit_index(f, N: int) -> int:
+    """Least k >= 1 with epsD^k in Z[N*xD]: powers of epsD multiplied out
+    one at a time in coordinates mod N (xD*xD = t*xD - nrm) until the xD
+    coordinate is 0."""
+    a0, b0 = f.epsD
+    a, b, k = a0 % N, b0 % N, 1
+    while b:
+        bb = b * b0
+        a, b = (a * a0 - bb * f.nrm) % N, (a * b0 + b * a0 + bb * f.t) % N
+        k += 1
+    return k
+
+
+def brute_sign_index(f, N: int) -> int:
+    """Least k >= 1 with epsD^k = +1 or -1 mod N, from the same powers: the
+    xD coordinate 0 and the other +-1."""
+    a0, b0 = f.epsD
+    a, b, k = a0 % N, b0 % N, 1
+    while b or a not in (1 % N, -1 % N):
+        bb = b * b0
+        a, b = (a * a0 - bb * f.nrm) % N, (a * b0 + b * a0 + bb * f.t) % N
+        k += 1
+    return k
+
+
 def reduce_form(F: IndefForm) -> tuple[IndefForm, int]:
     """Reduce an arbitrary form; returns (reduced form, steps taken).
 

@@ -18,7 +18,15 @@ from quadcf import arith, experiments, matrix_orders
 from quadcf.arith import InvariantError, _spf_scope, factorize
 from quadcf.experiments import ScanConfig, artin_scan, converge_scan
 from quadcf.quad_orders import AlgInt, Mat2, field_data, phi
-from quadcf.matrix_orders import _mat_pow_mod, _order_memo, _prime_power_order
+from quadcf.matrix_orders import (
+    _is_identity_power,
+    _is_scalar_power,
+    _mat_pow_mod,
+    _order_memo,
+    _power,
+    _prime_power_order,
+    _reduce,
+)
 from helpers import (
     brute_mat_order,
     brute_pisano,
@@ -113,18 +121,10 @@ def test_prime_power_order_returns_the_primes_of_the_order():
 
 
 def test_artin_scan_reuses_prime_power_orders(monkeypatch):
-    calls = 0
-    real = matrix_orders._mat_pow_mod
-
-    def counting(M, k, n):
-        nonlocal calls
-        calls += 1
-        return real(M, k, n)
-
-    monkeypatch.setattr(matrix_orders, "_mat_pow_mod", counting)
+    calls = _counted_powers(monkeypatch)
     _order_memo.clear()
     artin_scan(ScanConfig(d=5, sequence="integers", bound=2000))
-    assert calls <= 9500  # 15 856 when every N recomputed each p^e || N
+    assert 1999 <= len(calls) <= 9500  # 15 856 when every N recomputed each p^e || N
 
 
 @pytest.fixture
@@ -152,15 +152,16 @@ def test_prime_power_memo_is_bounded(empty_memo):
 
 
 def _counted_powers(monkeypatch) -> list:
-    """Every (k, n) that matrix_orders powers M to, in call order."""
+    """Every (k, n) that matrix_orders powers a matrix to, in call order:
+    each power, tested or built, is one run of the Lucas ladder."""
     calls = []
-    real = matrix_orders._mat_pow_mod
+    real = matrix_orders._lucas
 
-    def counting(M, k, n):
+    def counting(t, det, k, n):
         calls.append((k, n))
-        return real(M, k, n)
+        return real(t, det, k, n)
 
-    monkeypatch.setattr(matrix_orders, "_mat_pow_mod", counting)
+    monkeypatch.setattr(matrix_orders, "_lucas", counting)
     return calls
 
 
@@ -282,7 +283,11 @@ def test_mat_pow_mod_matches_repeated_products():
         k, n = rng.randint(0, 70), rng.choice([1, 2, rng.randint(1, 10**4)])
         assert _mat_pow_mod(M, k, n) == repeated_mat_product(M, k, n), (M, k, n)
     assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 0, 9) == Mat2(1, 0, 0, 1)
+    assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 0, 1) == Mat2(0, 0, 0, 0)
     assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 5, 1) == Mat2(0, 0, 0, 0)
+    for k in (-1, -5, -2**70):  # a walk of bin(k) would read -5 as 13, -1 as 3
+        with pytest.raises(ValueError, match="negative exponent"):
+            _mat_pow_mod(Mat2(-3, 5, -7, 2), k, 9)
 
 
 def test_lucas_ladder_matches_square_and_multiply():
@@ -302,6 +307,58 @@ def test_lucas_ladder_matches_square_and_multiply():
         for n in (1, 2, 9, 10**18 + 9):
             for k in range(12):
                 assert _mat_pow_mod(M, k, n) == square_multiply_mat_pow(M, k, n), (M, k, n)
+
+
+def _with_det(rng, det: int) -> Mat2:
+    """A random integer matrix of determinant det, for det in (1, -1, 0)."""
+    if det == 0:  # rank one: the rows are multiples of one row
+        x, y, s, t = (rng.randint(-10**9, 10**9) for _ in range(4))
+        return Mat2(x * s, x * t, y * s, y * t)
+    # [[1, 0], [x, 1]] [[1, y], [0, 1]] [[1, 0], [z, 1]] has det 1; a row
+    # swap makes it -1
+    x, y, z = (rng.randint(-10**6, 10**6) for _ in range(3))
+    a, b, c, d = 1 + y * z, y, x + z + x * y * z, x * y + 1
+    return Mat2(a, b, c, d) if det == 1 else Mat2(c, d, a, b)
+
+
+def _assert_power_tests_match_the_oracle(M: Mat2, k: int, n: int) -> tuple[bool, bool]:
+    P = square_multiply_mat_pow(M, k, n)
+    R = _reduce(M, n)
+    is_identity, is_scalar = P == Mat2(1 % n, 0, 0, 1 % n), P.is_scalar_mod(n)
+    assert _is_identity_power(R, k, n) == is_identity, (M, k, n)
+    assert _is_scalar_power(R, k, n) == is_scalar, (M, k, n)
+    assert _power(R, k, n) == _reduce(P, n), (M, k, n)
+    return is_identity, is_scalar
+
+
+def test_power_tests_read_off_the_lucas_pair_match_square_and_multiply():
+    # det = 1, -1 and 0 exactly, det = +-1 mod n only (entries moved by
+    # multiples of n), and a general det; the first two take the ladder's
+    # det = +-1 steps
+    rng = random.Random(31)
+    prime_powers = [2**61, 3**40, 101**9, (2**61 - 1) ** 2, 7]
+    for i in range(3000):
+        det = (1, -1, 0, None)[i % 4]
+        n = rng.choice([1, 2, rng.choice(prime_powers), rng.randint(1, 10**18)])
+        if det is None:
+            M = Mat2(*(rng.randint(-10**30, 10**30) for _ in range(4)))
+        else:
+            M = Mat2(*(x + n * rng.randint(-10**6, 10**6) for x in _with_det(rng, det)))
+            assert (M.det - det) % n == 0
+        j = rng.randint(1, 80)
+        k = rng.choice([1, 2, 3, 2**j, 2**j - 1, rng.randint(1, 2**80)])
+        _assert_power_tests_match_the_oracle(M, k, n)
+    # small moduli, where both verdicts occur: every k up to 60
+    seen = set()
+    mats = [Mat2(1, 0, 0, 1), Mat2(-1, 0, 0, -1), Mat2(1, 1, 0, 1), FIB_MATRIX,
+            Mat2(2, 1, 1, 1), Mat2(3, 0, 0, 3), Mat2(2, 1, 1, 3), Mat2(4, 2, 2, 1)]
+    for M in mats + [_with_det(rng, det) for det in (1, -1, 0) for _ in range(3)]:
+        for n in (1, 2, 3, 4, 5, 7, 8, 9, 12, 20, 25, 27):
+            for k in range(1, 61):
+                verdicts = _assert_power_tests_match_the_oracle(M, k, n)
+                det = M.det % n  # which steps the ladder takes: +1, -1 or general
+                seen.add((1 if det == 1 else -1 if det == n - 1 else 0, verdicts))
+    assert {(s, v) for s in (1, -1, 0) for v in ((True, True), (False, True), (False, False))} <= seen
 
 
 def test_mat_order_errors_and_identity_modulus():

@@ -25,7 +25,15 @@ from quadcf.quad_orders import (
     unit_group_index,
 )
 from quadcf.surd import make_surd, mobius, periodic_tail, scale
-from helpers import brute_pell, element_norm, frac_sqrt, mat_mod, mat_mul, random_surd
+from helpers import (
+    brute_pell,
+    brute_sign_index,
+    brute_unit_index,
+    element_norm,
+    frac_sqrt,
+    mat_mul,
+    random_surd,
+)
 
 SQUAREFREE_TO_60 = [
     m for m in range(2, 61)
@@ -135,28 +143,6 @@ def test_in_suborder_coordinate_rule():
         in_suborder(field_data(5), AlgInt(1, 1), 0)
 
 
-def brute_unit_index(f, n):
-    # oracle: multiply out powers of epsD until the xD coordinate is 0 mod n
-    u = f.epsD
-    k = 1
-    while u.b % n:
-        u = alg_mul(f, u, f.epsD)
-        k += 1
-    return k
-
-
-def brute_sign_index(f, n):
-    # oracle: multiply out powers of phi(epsD) until +-identity mod n
-    M = phi(f, f.epsD)
-    targets = (mat_mod(Mat2(1, 0, 0, 1), n), mat_mod(Mat2(-1, 0, 0, -1), n))
-    P = M
-    k = 1
-    while mat_mod(P, n) not in targets:
-        P = mat_mul(P, M)
-        k += 1
-    return k
-
-
 def test_unit_group_index_frozen_values():
     for d, n, want in [(5, 2, 3), (5, 5, 5), (8, 5, 3), (5, 4, 6), (13, 3, 2)]:
         f = field_data(d)
@@ -198,6 +184,17 @@ def test_sign_index_random_against_brute_and_divisibility():
         # phi(eps)^u = c*I with c^2 = +-1, so phi(eps)^(2u) = +-I
         u = unit_group_index(f, n)
         assert r in (u, 2 * u)
+
+
+def test_unit_indices_match_the_ring_oracle_below_300():
+    # units of norm -1 (d = 2, 5, 13) and of norm +1 (d = 3, 6, 7): the
+    # Lucas ladder takes its det = -1 and det = +1 steps for each
+    for d, norm in ((2, -1), (5, -1), (13, -1), (3, 1), (6, 1), (7, 1)):
+        f = field_data(d)
+        assert f.unit_norm == norm, d
+        for n in range(1, 301):
+            assert unit_group_index(f, n) == brute_unit_index(f, n), (d, n)
+            assert R_of(f, n) == brute_sign_index(f, n), (d, n)
 
 
 def test_sign_index_witness_trips_on_a_wrong_unit_index(monkeypatch):
