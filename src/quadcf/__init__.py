@@ -29,7 +29,7 @@ from .quad_orders import (
     regulator_of_order,
     unit_group_index,
 )
-from .matrix_orders import Mat2, OrderRecord, mat_order_mod
+from .matrix_orders import Mat2, mat_order_mod
 from .hecke import (
     HeckeChain,
     are_neighbors,
@@ -48,6 +48,7 @@ from .class_geodesics import (
 )
 from .experiments import (
     DeviationRow,
+    OrderRecord,
     ScanConfig,
     UsageError,
     artin_scan,

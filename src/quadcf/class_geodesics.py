@@ -248,11 +248,14 @@ def total_length(disc: int) -> TotalLength:
     """Narrow class number times the wide regulator of the order, h+ * R,
     with the exponent ln(h*reg)/ln(sqrt(disc)) that the census tracks:
     Duke's h+ * R+ = 2hR when N(eps) = +1, hR (half) when N(eps) = -1."""
-    return _total_length(disc, class_number(disc), *fundamental_decomposition(disc))
+    return _total_length(disc, *fundamental_decomposition(disc))[0]
 
 
-def _total_length(disc: int, h: int, D0: int, f: int) -> TotalLength:
-    # (D0, f) is fundamental_decomposition(disc), so D0's kernel is squarefree
+def _total_length(disc: int, D0: int, f: int) -> tuple[TotalLength, int]:
+    """total_length(disc) and the number of reduced forms, given (D0, f) =
+    fundamental_decomposition(disc): the row of duke and of classno."""
+    h, forms = _cycles(disc)
+    # D0 is fundamental, so its kernel is squarefree
     reg = regulator_of_order(OrderSpec(_squarefree_field(D0 if D0 % 4 == 1 else D0 // 4), f))
     total = h * reg
-    return TotalLength(disc, h, reg, total, math.log(total) / math.log(math.sqrt(disc)))
+    return TotalLength(disc, h, reg, total, math.log(total) / math.log(math.sqrt(disc))), forms

@@ -17,9 +17,10 @@ import sys
 from typing import Callable, NamedTuple
 
 from .arith import InvariantError
-from .class_geodesics import TotalLength, _cycles, _total_length, fundamental_decomposition
+from .class_geodesics import TotalLength, _total_length, fundamental_decomposition
 from .experiments import (
     DeviationRow,
+    OrderRecord,
     ScanConfig,
     UsageError,
     _table_chunks,
@@ -35,7 +36,6 @@ from .experiments import (
     duke_summary_lines,
     emit,
 )
-from .matrix_orders import OrderRecord
 from .quad_orders import (
     OrderSpec,
     R_of,
@@ -70,7 +70,11 @@ def load_config(path: str) -> dict[str, str]:
     if len(data) > _MAX_CONFIG_BYTES:
         raise UsageError(f"config {path} is larger than {_MAX_CONFIG_BYTES} bytes")
     out: dict[str, str] = {}
-    for lineno, line in enumerate(data.decode().splitlines(), 1):
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read config {path}: not UTF-8 text") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -181,16 +185,23 @@ def cmd_scan(args) -> int:
     output, fmt, summary = (st.pop(key) for key in _OUTPUT_DEFAULTS)
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
-    for path in (output, None if summary == "-" else summary):
+    summary_path = None if summary == "-" else summary
+    for path in (output, summary_path):
         # refused before the scan; the write after it still has the last word
         if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
             reason = os.strerror(errno.EISDIR if os.path.isdir(path) else errno.ENOENT)
             raise UsageError(f"cannot write {path}: {reason}")
+    if output and summary_path and (
+        os.path.realpath(output) == os.path.realpath(summary_path)
+        or os.path.exists(output) and os.path.exists(summary_path)
+        and os.path.samefile(output, summary_path)
+    ):  # the summary would overwrite the table
+        raise UsageError(f"cannot write {summary_path}: the table is written there too")
     rows = spec.scan(st)
     emit(_table_chunks(spec.row_type, rows, fmt), output)
     if summary is not None:
         lines = spec.summary_lines(spec.stats(rows))
-        emit([line + "\n" for line in lines], None if summary == "-" else summary, "stderr")
+        emit([line + "\n" for line in lines], summary_path, "stderr")
     return 0
 
 
@@ -222,8 +233,7 @@ def cmd_unit(args) -> int:
 def cmd_classno(args) -> int:
     check_form_work(args.disc, args.disc)
     try:
-        h, nred = _cycles(args.disc)
-        tl = _total_length(args.disc, h, *fundamental_decomposition(args.disc))
+        tl, nred = _total_length(args.disc, *fundamental_decomposition(args.disc))
     except InvariantError as e:  # named as the duke runner names a failing item
         raise InvariantError(f"disc={args.disc}: {e}") from e
     emit([

@@ -16,17 +16,10 @@ import types
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
-from .arith import InvariantError, _spf_scope, is_prime, primes_up_to
-from .class_geodesics import (
-    TotalLength,
-    _is_disc,
-    _total_length,
-    class_number,
-    fundamental_decomposition,
-    total_length,
-)
+from .arith import InvariantError, _spf_scope, checked_record, is_prime, kronecker, primes_up_to
+from .class_geodesics import TotalLength, _is_disc, _total_length, fundamental_decomposition
 from .gauss_kuzmin import Pattern, c_w, pattern_frequency
-from .matrix_orders import COMPOSITE, OrderRecord, _record_for
+from .matrix_orders import mat_order_mod
 from .quad_orders import (
     OrderSpec,
     _squarefree_field,
@@ -89,11 +82,14 @@ def sequence_values(cfg: ScanConfig) -> Sequence[int]:
     return ns
 
 
-def _table_bound(cfg: ScanConfig) -> int:
-    """How far a scan's smallest-prime-factor table reaches: every N <= bound,
-    and every p - 1, p + 1 and 2(p + 1) of a prime p <= bound, the multiples
-    of the orders mod p that the order of a matrix mod N is stripped from."""
-    return 2 * cfg.bound + 2
+def _scan_sequence(kernel, ctx, cfg: ScanConfig) -> list:
+    """run_items over sequence_values(cfg) with one smallest-prime-factor
+    table in place up to 2*bound + 2: every N <= bound, and every p - 1,
+    p + 1 and 2(p + 1) of a prime p <= bound, the multiples of the orders
+    mod p that the order of a matrix mod N is stripped from."""
+    ns = sequence_values(cfg)
+    with _spf_scope(2 * cfg.bound + 2):
+        return run_items(kernel, ctx, ns, cfg.workers)
 
 
 # ---- item runner ----
@@ -283,9 +279,7 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     # surd_coords factors the radicand: its m is squarefree, so it is not factored again
     fdata = _squarefree_field(surd_coords(base)[0])
     patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
-    ns = sequence_values(cfg)
-    with _spf_scope(_table_bound(cfg)):
-        per_n = run_items(_converge_item, (base, fdata, patterns), ns, cfg.workers)
+    per_n = _scan_sequence(_converge_item, (base, fdata, patterns), cfg)
     return [row for rows in per_n for row in rows]
 
 
@@ -340,18 +334,42 @@ def converge_summary_lines(stats: dict) -> list[str]:
 
 # ---- order census ----
 
-def _artin_item(ctx, n: int) -> OrderRecord:
-    fdata, M = ctx
-    return _record_for(fdata, M, n)
+SPLIT = "split"
+INERT = "inert"
+RAMIFIED = "ramified"
+COMPOSITE = "composite"
+
+
+class OrderRecord(checked_record("OrderRecord", "N ord exponent split_type is_max")):
+    """exponent = ln(ord)/ln(N); is_max for odd unramified primes, else None."""
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, ord: int, exponent: float, split_type: str, is_max: bool | None):
+        if ord < 1:
+            raise ValueError("order must be positive")
+        return tuple.__new__(cls, (N, ord, exponent, split_type, is_max))
+
+
+def _artin_item(ctx, N: int) -> OrderRecord:
+    f, M = ctx
+    o = mat_order_mod(M, N)
+    exponent = math.log(o) / math.log(N)
+    split_type, is_max = COMPOSITE, None
+    if is_prime(N):
+        k = kronecker(f.D, N)
+        split_type = SPLIT if k == 1 else INERT if k == -1 else RAMIFIED
+        if N != 2 and k:
+            # the largest order the unit can have mod N: N - 1 split; inert,
+            # N + 1 for norm +1 and 2(N + 1) for norm -1
+            is_max = o == (N - 1 if k == 1 else N + 1 if f.unit_norm == 1 else 2 * (N + 1))
+    return OrderRecord(N, o, exponent, split_type, is_max)
 
 
 def artin_scan(cfg: ScanConfig) -> list[OrderRecord]:
     validate_config(cfg)
     fdata = field_data(cfg.d)
-    ctx = (fdata, phi(fdata, fdata.epsD))
-    ns = sequence_values(cfg)
-    with _spf_scope(_table_bound(cfg)):
-        return run_items(_artin_item, ctx, ns, cfg.workers)
+    return _scan_sequence(_artin_item, (fdata, phi(fdata, fdata.epsD)), cfg)
 
 
 def artin_stats(records: list[OrderRecord]) -> dict:
@@ -414,9 +432,9 @@ def duke_discs(dmin: int, dmax: int, fundamental_only: bool) -> list[int]:
 
 
 def _duke_item(fundamental_only: bool, disc: int) -> TotalLength:
-    if fundamental_only:  # duke_discs factored disc to keep it: (D0, f) = (disc, 1)
-        return _total_length(disc, class_number(disc), disc, 1)
-    return total_length(disc)
+    # under fundamental_only, duke_discs factored disc to keep it: (D0, f) = (disc, 1)
+    D0, f = (disc, 1) if fundamental_only else fundamental_decomposition(disc)
+    return _total_length(disc, D0, f)[0]
 
 
 def duke_scan(dmin: int, dmax: int, fundamental_only: bool = False) -> list[TotalLength]:

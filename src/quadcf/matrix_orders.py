@@ -40,25 +40,17 @@ the pair and M's entries without building the matrix; the entries, trace
 and det are reduced mod n once per (M, n) (_reduce).
 
 Mat2 lives here, with the code that powers it. quad_orders builds its
-matrices (phi) and strips the unit-group and +-I indices out of
-mat_order_mod's order with _least_exponent; this module imports nothing
-from quad_orders at run time.
+matrices (phi), strips the unit-group index out of mat_order_mod's order
+with _least_exponent and reads the power at that index with _power; this
+module imports nothing from quad_orders, not even for annotations.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .arith import InvariantError, checked_record, factorize, is_prime, kronecker
-
-if TYPE_CHECKING:  # annotations only: quad_orders imports this module
-    from .quad_orders import FieldData
-
-SPLIT = "split"
-INERT = "inert"
-RAMIFIED = "ramified"
-COMPOSITE = "composite"
+from .arith import InvariantError, factorize, kronecker
 
 
 class Mat2(NamedTuple):
@@ -151,15 +143,6 @@ def _is_scalar_power(R: tuple, k: int, n: int) -> bool:
     a, b, c, d, t, det = R
     u = _lucas(t, det, k, n)[0]
     return not (u * b % n or u * c % n or u * (a - d) % n)
-
-
-def _mat_pow_mod(M: Mat2, k: int, n: int) -> Mat2:
-    """M^k mod n for k >= 0, built from the Lucas pair (_lucas)."""
-    if k < 0:
-        raise ValueError("negative exponent")
-    if not k:
-        return Mat2(1 % n, 0, 0, 1 % n)
-    return Mat2(*_power(_reduce(M, n), k, n)[:4])
 
 
 def _least_exponent(R: tuple, n: int, k: int, primes, test) -> int:
@@ -256,28 +239,3 @@ def mat_order_mod(M: Mat2, N: int) -> int:
         if _is_identity_power(R, o // q, N):
             raise InvariantError("claimed order is not minimal")
     return o
-
-
-class OrderRecord(checked_record("OrderRecord", "N ord exponent split_type is_max")):
-    """exponent = ln(ord)/ln(N); is_max for odd unramified primes, else None."""
-
-    __slots__ = ()
-
-    def __new__(cls, N: int, ord: int, exponent: float, split_type: str, is_max: bool | None):
-        if ord < 1:
-            raise ValueError("order must be positive")
-        return tuple.__new__(cls, (N, ord, exponent, split_type, is_max))
-
-
-def _record_for(f: FieldData, M: Mat2, N: int) -> OrderRecord:
-    o = mat_order_mod(M, N)
-    exponent = math.log(o) / math.log(N)
-    split_type, is_max = COMPOSITE, None
-    if is_prime(N):
-        k = kronecker(f.D, N)
-        split_type = SPLIT if k == 1 else INERT if k == -1 else RAMIFIED
-        if N != 2 and k:
-            # the largest order the unit can have mod N: N - 1 split; inert,
-            # N + 1 for norm +1 and 2(N + 1) for norm -1
-            is_max = o == (N - 1 if k == 1 else N + 1 if f.unit_norm == 1 else 2 * (N + 1))
-    return OrderRecord(N, o, exponent, split_type, is_max)

@@ -31,7 +31,7 @@ from .matrix_orders import (
     Mat2,
     _is_scalar_power,
     _least_exponent,
-    _mat_pow_mod,
+    _power,
     _reduce,
     mat_order_mod,
 )
@@ -224,10 +224,10 @@ def R_of(f: FieldData, N: int) -> int:
     c^2 = N(eps)^u = +-1, so phi(epsD)^(2u) = +-I; R_of is u exactly when
     c = +-1 mod N."""
     u = unit_group_index(f, N)
-    P = _mat_pow_mod(phi(f, f.epsD), u, N)
-    if not P.is_scalar_mod(N) or (P.a * P.a - f.unit_norm**u) % N:
+    a, b, c, d = _power(_reduce(phi(f, f.epsD), N), u, N)[:4]  # reduced mod N
+    if b or c or a != d or (a * a - f.unit_norm**u) % N:
         raise InvariantError(f"phi(eps)^{u} mod {N} is not a scalar c*I with c^2 = N(eps)^{u}")
-    return u if P.a in (1 % N, N - 1) else 2 * u
+    return u if a in (1 % N, N - 1) else 2 * u
 
 
 def regulator_of_order(o: OrderSpec) -> float:

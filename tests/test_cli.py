@@ -372,6 +372,9 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     for command in ("converge", "artin", "duke"):
         assert run([command, "--config", str(cfgfile)]) == 2
         assert "unknown format 'xml'" in capsys.readouterr().err
+    cfgfile.write_bytes(b"\xffbound = 4\n")  # not UTF-8: the message names the file
+    assert run(["converge", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read config {cfgfile}: not UTF-8 text\n"
 
 
 def test_exit_code_3_on_internal_invariant(monkeypatch, capsys):
@@ -421,6 +424,9 @@ def test_exit_code_2_on_unwritable_output(argv, path, capsys):
     (["--output", "{tmp}/missing/x.csv"], "{tmp}/missing/x.csv"),
     (["--summary", "{tmp}/missing/s.txt"], "{tmp}/missing/s.txt"),  # table on stdout
     (["--output", "{tmp}"], "{tmp}"),  # a directory
+    # the summary would overwrite the table
+    (["--output", "{tmp}/same.txt", "--summary", "{tmp}/same.txt"], "{tmp}/same.txt"),
+    (["--output", "{tmp}/same.txt", "--summary", "{tmp}/./same.txt"], "{tmp}/./same.txt"),
 ])
 def test_unwritable_paths_are_refused_before_the_scan(flags, bad, tmp_path):
     # the scan of N <= 10**5 takes seconds; the refusal comes before it
@@ -433,6 +439,19 @@ def test_unwritable_paths_are_refused_before_the_scan(flags, bad, tmp_path):
     assert res.stdout == ""
     assert res.stderr.startswith(f"error: cannot write {bad.format(tmp=tmp_path)}: ")
     assert list(tmp_path.iterdir()) == []  # no file made
+
+
+def test_summary_into_the_table_file_is_refused_through_a_link(tmp_path, capsys):
+    table, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    table.write_text("kept\n")
+    os.link(table, link)  # two names of one file: only samefile tells
+    assert run(["artin", "--bound", "30", "--output", str(table), "--summary", str(link)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {link}: the table is written there too\n"
+    assert table.read_text() == "kept\n"
+    # a summary on stderr leaves the table file alone
+    assert run(["artin", "--bound", "30", "--output", str(table), "--summary", "-"]) == 0
+    assert table.read_text().startswith("N,ord,exponent,split_type,is_max\n")
+    assert capsys.readouterr().err.startswith("density ord>=N^0.7: ")
 
 
 @pytest.mark.parametrize("argv", [

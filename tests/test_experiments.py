@@ -17,8 +17,12 @@ import pytest
 from quadcf import arith, class_geodesics, experiments, matrix_orders, quad_orders
 from quadcf.arith import InvariantError
 from quadcf.experiments import (
+    INERT,
     MAX_ITEMS,
+    RAMIFIED,
+    SPLIT,
     DeviationRow,
+    OrderRecord,
     ScanConfig,
     UsageError,
     artin_scan,
@@ -36,7 +40,6 @@ from quadcf.experiments import (
     validate_config,
 )
 from quadcf.class_geodesics import TotalLength, total_length
-from quadcf.matrix_orders import INERT, RAMIFIED, SPLIT, OrderRecord
 from helpers import brute_pisano, sieve_primes
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -426,10 +429,10 @@ def test_cli_import_leaves_multiprocessing_out():
 
 
 def test_duke_scan_invariant_error_names_the_disc(monkeypatch):
-    def total_length(disc):
+    def _total_length(disc, D0, f):
         raise InvariantError("synthetic")
 
-    monkeypatch.setattr(experiments, "total_length", total_length)
+    monkeypatch.setattr(experiments, "_total_length", _total_length)
     with pytest.raises(InvariantError, match=r"^disc=5: synthetic$"):
         duke_scan(5, 8)
 

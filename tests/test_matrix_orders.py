@@ -5,14 +5,8 @@ import types
 
 import pytest
 
-from quadcf.matrix_orders import (
-    COMPOSITE,
-    INERT,
-    RAMIFIED,
-    SPLIT,
-    OrderRecord,
-    mat_order_mod,
-)
+from quadcf.experiments import COMPOSITE, INERT, RAMIFIED, SPLIT, OrderRecord
+from quadcf.matrix_orders import mat_order_mod
 import quadcf
 from quadcf import arith, experiments, matrix_orders
 from quadcf.arith import InvariantError, _spf_scope, factorize
@@ -21,7 +15,6 @@ from quadcf.quad_orders import AlgInt, Mat2, field_data, phi
 from quadcf.matrix_orders import (
     _is_identity_power,
     _is_scalar_power,
-    _mat_pow_mod,
     _order_memo,
     _power,
     _prime_power_order,
@@ -276,18 +269,18 @@ def test_witness_mod_n_catches_a_wrong_prime_power_order(monkeypatch):
             mat_order_mod(FIB_MATRIX, N)
 
 
-def test_mat_pow_mod_matches_repeated_products():
+def _power_entries(M: Mat2, k: int, n: int) -> Mat2:
+    """M^k mod n as _power reads it off the Lucas pair, for k >= 1."""
+    return Mat2(*_power(_reduce(M, n), k, n)[:4])
+
+
+def test_power_matches_repeated_products():
     rng = random.Random(42)
     for _ in range(300):
         M = Mat2(*(rng.randint(-10**6, 10**6) for _ in range(4)))
-        k, n = rng.randint(0, 70), rng.choice([1, 2, rng.randint(1, 10**4)])
-        assert _mat_pow_mod(M, k, n) == repeated_mat_product(M, k, n), (M, k, n)
-    assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 0, 9) == Mat2(1, 0, 0, 1)
-    assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 0, 1) == Mat2(0, 0, 0, 0)
-    assert _mat_pow_mod(Mat2(-3, 5, -7, 2), 5, 1) == Mat2(0, 0, 0, 0)
-    for k in (-1, -5, -2**70):  # a walk of bin(k) would read -5 as 13, -1 as 3
-        with pytest.raises(ValueError, match="negative exponent"):
-            _mat_pow_mod(Mat2(-3, 5, -7, 2), k, 9)
+        k, n = rng.randint(1, 70), rng.choice([1, 2, rng.randint(1, 10**4)])
+        assert _power_entries(M, k, n) == repeated_mat_product(M, k, n), (M, k, n)
+    assert _power_entries(Mat2(-3, 5, -7, 2), 5, 1) == Mat2(0, 0, 0, 0)
 
 
 def test_lucas_ladder_matches_square_and_multiply():
@@ -300,13 +293,13 @@ def test_lucas_ladder_matches_square_and_multiply():
             p = rng.choice([2, 3, 1009, 2**61 - 1])
             a, c, n = a * p, c * p, p * rng.choice([1, p, rng.randint(1, 10**12)])
         M = Mat2(a, b, c, d)
-        k = rng.choice([0, 1, 2, 3, rng.randint(0, 64), rng.randint(0, 2**80),
+        k = rng.choice([1, 2, 3, rng.randint(1, 64), rng.randint(1, 2**80),
                         2 ** rng.randint(0, 80), 2 ** rng.randint(1, 80) - 1])
-        assert _mat_pow_mod(M, k, n) == square_multiply_mat_pow(M, k, n), (M, k, n)
+        assert _power_entries(M, k, n) == square_multiply_mat_pow(M, k, n), (M, k, n)
     for M in (Mat2(4, 2, 2, 1), Mat2(0, 0, 0, 0), Mat2(6, -3, 10, -5)):  # det 0
         for n in (1, 2, 9, 10**18 + 9):
-            for k in range(12):
-                assert _mat_pow_mod(M, k, n) == square_multiply_mat_pow(M, k, n), (M, k, n)
+            for k in range(1, 12):
+                assert _power_entries(M, k, n) == square_multiply_mat_pow(M, k, n), (M, k, n)
 
 
 def _with_det(rng, det: int) -> Mat2:
@@ -482,7 +475,7 @@ def _assert_each_n_tested_once(monkeypatch, scan, module):
 
 
 def test_artin_scan_tests_each_n_for_primality_once(monkeypatch):
-    _assert_each_n_tested_once(monkeypatch, artin_scan, matrix_orders)
+    _assert_each_n_tested_once(monkeypatch, artin_scan, experiments)
 
 
 def test_converge_scan_tests_each_n_for_primality_once(monkeypatch):
@@ -542,15 +535,15 @@ def test_spf_table_covers_what_the_scan_factors(monkeypatch):
 
 def test_spf_table_is_in_place_for_the_scan_alone(monkeypatch):
     sizes = []
-    real = experiments._record_for
+    real = experiments._artin_item
 
-    def recording(f, M, N):
+    def recording(ctx, N):
         sizes.append(len(arith._spf))
         if N == 7 and fail:
             raise InvariantError("synthetic")
-        return real(f, M, N)
+        return real(ctx, N)
 
-    monkeypatch.setattr(experiments, "_record_for", recording)
+    monkeypatch.setattr(experiments, "_artin_item", recording)
     fail = False
     assert len(artin_scan(ScanConfig(d=5, bound=100))) == 99
     assert set(sizes) == {2 * 100 + 3} and not arith._spf

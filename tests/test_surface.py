@@ -24,14 +24,14 @@ def test_public_names_are_frozen():
         "AlgInt", "FieldData", "Mat2", "OrderSpec", "R_of", "alg_pow", "alg_value",
         "conductor_of_surd", "field_data", "phi", "regulator_of_order", "unit_group_index",
         # matrix_orders
-        "OrderRecord", "mat_order_mod",
+        "mat_order_mod",
         # hecke
         "HeckeChain", "are_neighbors", "chain_between", "conductor_bounds_check",
         "scale_chain", "unit_index_check",
         # class_geodesics
         "IndefForm", "TotalLength", "class_number", "reduced_forms", "rho", "total_length",
         # experiments
-        "DeviationRow", "ScanConfig", "UsageError", "artin_scan", "artin_stats",
+        "DeviationRow", "OrderRecord", "ScanConfig", "UsageError", "artin_scan", "artin_stats",
         "artin_summary_lines", "converge_scan", "converge_stats", "converge_summary_lines",
         "duke_scan", "duke_stats", "duke_summary_lines", "render_table",
     }
