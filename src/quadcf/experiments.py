@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .arith import InvariantError, _spf_scope, checked_record, is_prime, kronecker, primes_up_to
 from .class_geodesics import TotalLength, _is_disc, _total_length, fundamental_decomposition
-from .gauss_kuzmin import Pattern, c_w, pattern_frequency
+from .gauss_kuzmin import Pattern, _window_counts, c_w
 from .matrix_orders import mat_order_mod
 from .quad_orders import (
     OrderSpec,
@@ -253,13 +253,12 @@ def _converge_item(ctx, n: int) -> list[DeviationRow]:
         raise UsageError(f"N={n}: order discriminant is too large for a float value") from None
     nprime = is_prime(n)
     rows = []
-    for label, pat, cw_float in patterns:
-        freq = pattern_frequency(e, pat)
-        dev = abs(freq.numerator / freq.denominator - cw_float)
-        row = DeviationRow(
-            n, nprime, L, label, freq.numerator, freq.denominator,
-            cw_float, dev, disc, rexp,
-        )
+    counts = _window_counts(e.period, [w for _, w, _ in patterns])
+    for (label, _, cw_float), count in zip(patterns, counts):
+        g = math.gcd(count, L)
+        num, den = count // g, L // g
+        dev = abs(num / den - cw_float)
+        row = DeviationRow(n, nprime, L, label, num, den, cw_float, dev, disc, rexp)
         _validate_row(row)
         rows.append(row)
     return rows
@@ -278,7 +277,7 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     cf_expand(base)  # the bounded walk refuses a radicand too large before it is factored
     # surd_coords factors the radicand: its m is squarefree, so it is not factored again
     fdata = _squarefree_field(surd_coords(base)[0])
-    patterns = [(Pattern(w).label(), Pattern(w), c_w(w).as_float()) for w in cfg.patterns]
+    patterns = [(Pattern(w).label(), tuple(w), c_w(w).as_float()) for w in cfg.patterns]
     per_n = _scan_sequence(_converge_item, (base, fdata, patterns), cfg)
     return [row for rows in per_n for row in rows]
 

@@ -10,8 +10,9 @@ floats.
 
 from __future__ import annotations
 
-import itertools
 import math
+import sys
+from array import array
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -96,17 +97,75 @@ def pattern_frequency(e: CFExpansion, w) -> Fraction:
     enters. The result is an exact rational in lowest terms and equals the
     limiting frequency of w along the infinite digit tail.
 
-    The windows are counted in C: the period is tiled to at least L + k - 1
-    digits, and k shifted iterators over it, each stopping after L digits,
-    zipped, are the windows. No slice is copied, so memory stays O(L + k).
+    The windows are counted by ``_window_counts``: each digit of w becomes
+    one L-byte bit mask of the positions holding it, so every window is
+    tested in C and memory stays O(L) whatever the length of w.
     """
-    digits = _as_digits(w)
     period = e.period
-    L = len(period)
-    k = len(digits)
-    if k == 1:
-        return Fraction(period.count(digits[0]), L)
-    tiled = period * ((k - 1) // L + 2)
-    windows = zip(*(itertools.islice(tiled, j, j + L) for j in range(k)))
-    return Fraction(sum(map(digits.__eq__, windows)), L)
+    return Fraction(_window_counts(period, [_as_digits(w)])[0], len(period))
 
+
+def _byte_is(v: int) -> bytes:
+    """Translation table sending byte v to 1 and every other byte to 0."""
+    return bytes(v) + b"\1" + bytes(255 - v)
+
+
+def _window_counts(period: tuple[int, ...], words) -> list[int]:
+    """For each nonempty word, the number of the L cyclic windows of the
+    period equal to it.
+
+    A digit x becomes the integer with bit 8i set iff period[i] == x. The
+    period goes into an ``array("I")`` once per call and is cut into byte
+    lanes, so for x < 256 the mask is one ``bytes.translate`` of the low
+    lane, ANDed with the mask of positions whose high lanes are all zero;
+    a larger x takes one translate per lane. A window starting at i matches
+    w iff bit 8i is set in the AND, over j, of w[j]'s mask rotated right by
+    8*(j mod L) bits; the AND stops early at 0. No mask outlives its digit:
+    the lanes, two fixed masks, the running AND and the current mask are
+    all that is alive, so memory is O(L) for any number and length of
+    words. A period digit of 2**32 or more, which the array cannot hold,
+    builds the same masks one comparison per digit.
+    """
+    L = len(period)
+    full = (1 << 8 * L) - 1
+    try:
+        raw = array("I", period).tobytes()
+    except OverflowError:
+        def mask(x: int) -> int:
+            return int.from_bytes(bytes(map(x.__eq__, period)), "little")
+    else:
+        size = len(raw) // L
+        lanes = [raw[b::size] for b in range(size)]
+        del raw
+        if sys.byteorder == "big":
+            lanes.reverse()
+        low, zeros = lanes[0], bytes(L)
+        high_zero = full
+        for lane in lanes[1:]:
+            if lane != zeros:  # an all-zero lane keeps every position
+                high_zero &= int.from_bytes(lane.translate(_byte_is(0)), "little")
+
+        def mask(x: int) -> int:
+            if x < 256:
+                return int.from_bytes(low.translate(_byte_is(x)), "little") & high_zero
+            if x >> 8 * size:
+                return 0
+            m = full
+            for lane in lanes:
+                m &= int.from_bytes(lane.translate(_byte_is(x & 255)), "little")
+                x >>= 8
+            return m
+
+    counts = []
+    for word in words:
+        acc = full
+        for j, x in enumerate(word):
+            m = mask(x)
+            r = 8 * (j % L)
+            if r:
+                m = m >> r | (m & ((1 << r) - 1)) << (8 * L - r)
+            acc &= m
+            if not acc:
+                break
+        counts.append(acc.bit_count())
+    return counts

@@ -10,6 +10,7 @@ factorize.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -316,6 +317,17 @@ def brute_pell(m: int) -> tuple[int, int, int]:
                 if t * t == t2:
                     return (t, u, target)
         u += 1
+
+
+def window_count(period: tuple[int, ...], word: tuple[int, ...]) -> int:
+    """Number of the L cyclic windows of the period equal to word, read off
+    k-tuples: the period is tiled to at least L + k - 1 digits, and k
+    shifted iterators over it, each stopping after L digits, zipped, are
+    the windows."""
+    L, k = len(period), len(word)
+    tiled = period * ((k - 1) // L + 2)
+    windows = zip(*(itertools.islice(tiled, j, j + L) for j in range(k)))
+    return sum(map(word.__eq__, windows))
 
 
 def random_surd(rng: random.Random, ms=(2, 3, 5, 13), span: int = 40) -> Surd:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -387,14 +388,14 @@ def test_exit_code_3_on_internal_invariant(monkeypatch, capsys):
 
 
 def test_exit_code_3_names_the_failing_n(monkeypatch, capsys):
-    real = experiments.pattern_frequency
+    real = experiments._window_counts
 
-    def fail_at_n5(e, pat):  # 5*sqrt(2) = [7; 14] is the only period of length 1
-        if e.period == (14,):
+    def fail_at_n5(period, words):  # 5*sqrt(2) = [7; 14] is the only period of length 1
+        if period == (14,):
             raise InvariantError("synthetic failure")
-        return real(e, pat)
+        return real(period, words)
 
-    monkeypatch.setattr(experiments, "pattern_frequency", fail_at_n5)
+    monkeypatch.setattr(experiments, "_window_counts", fail_at_n5)
     assert run(["converge", "--bound", "8"]) == 3
     assert "N=5: synthetic failure" in capsys.readouterr().err
 
@@ -625,3 +626,107 @@ def test_closed_stderr_never_sends_the_summary_to_stdout(capsys):
     assert res.returncode == 2  # the summary has nowhere to go
     assert run(["artin", "--bound", "6"]) == 0
     assert res.stdout == capsys.readouterr().out
+
+
+# ---- the exit-code contract over seeded argv ----
+
+_INTS = ("0", "1", "-1", "2", "3", "5", "7", "13", "4", "9", "144", "-4", str(2**63), str(10**30))
+_MALFORMED = ("", "x", "1.5", "1e3", "0x10", "--", "+-3", "\u0663\u0663")
+_PATTERNS = (
+    "1", "1;2;1,1", "2,1", "3;1,2", " 2 , 1 ", "1;2;", str(2**32), str(2**63) + ";1",
+    ",".join("1" * 70), ",".join(map(str, range(1, 71))),  # over the 64-digit cap
+    "0", "-1", "1,,2", ";", "1;x", "1.0",
+)
+_SCAN = ("--sequence", "--bound", "--coprime-filter", "--workers")
+_OUTPUT = ("--output", "--format", "--summary", "--config")
+_FLAGS = {
+    "expand": ("--p", "--r", "--d", "--q", "--convergents"),
+    "converge": ("--p", "--r", "--d", "--q", "--patterns") + _SCAN + _OUTPUT,
+    "artin": ("--d",) + _SCAN + _OUTPUT,
+    "duke": ("--min", "--max", "--fundamental-only") + _OUTPUT,
+    "unit": ("--d", "--conductor"),
+    "classno": ("--disc",),
+}
+_CONFIG_LINES = (
+    "bound = 9", "bound = x", "patterns = 1;1,2", "sequence = odds", "workers = 2",
+    "fundamental_only = maybe", "min = 7", "max = 60", "nonsense = 1", "no equals sign",
+)
+
+
+def _draw_value(rng: random.Random, flag: str, tmp_path) -> list[str]:
+    if flag == "--fundamental-only":
+        return []
+    if flag == "--summary":
+        return rng.choice(([], ["-"], [str(tmp_path / "summary.txt")], [str(tmp_path)]))
+    if flag == "--output":
+        return [rng.choice((str(tmp_path / "t.out"), str(tmp_path), str(tmp_path / "no" / "t")))]
+    if flag == "--config":
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("\n".join(rng.sample(_CONFIG_LINES, rng.randint(0, 3))) + "\n")
+        return [rng.choice((str(cfg), str(cfg), str(tmp_path / "missing.cfg")))]
+    if flag == "--patterns":
+        return [rng.choice(_PATTERNS)]
+    if flag == "--sequence":
+        return [rng.choice(("integers", "primes", "odds", ""))]
+    if flag == "--format":
+        return [rng.choice(("csv", "json", "xml", ""))]
+    roll = rng.random()
+    if roll < 0.1:
+        return [rng.choice(_MALFORMED)]
+    if flag in ("--bound", "--min", "--max", "--disc") and roll < 0.7:
+        return [str(rng.randint(-2, 60))]  # small: no draw is a legal long scan
+    return [rng.choice(_INTS)]
+
+
+def _draw_argv(rng: random.Random, tmp_path) -> list[str]:
+    if rng.random() < 0.03:
+        return rng.choice(([], ["nonsense"], ["expand", "--bogus", "1"], ["duke", "--workers", "2"]))
+    command = rng.choice(sorted(_FLAGS))
+    argv = [command]
+    flags = _FLAGS[command]
+    for flag in rng.sample(flags, rng.randint(0, min(5, len(flags)))):
+        argv += [flag, *_draw_value(rng, flag, tmp_path)]
+    if command in ("converge", "artin") and "--bound" not in argv:
+        argv += ["--bound", str(rng.randint(2, 40))]  # small bounds keep every scan short
+    required = {"unit": "--d", "classno": "--disc"}.get(command)
+    if required and required not in argv and rng.random() < 0.9:
+        argv += [required, *_draw_value(rng, required, tmp_path)]
+    return argv
+
+
+class _DrawTimedOut(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_seeded_argv_keep_the_exit_code_contract(tmp_path, capsys):
+    # exit 0, or exit 2 with nothing on stdout and one error line on stderr,
+    # or exit 3; never a traceback, and every draw within the alarm
+    def timed_out(signum, frame):
+        raise _DrawTimedOut
+
+    rng = random.Random(16)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    try:
+        for _ in range(300):
+            argv = _draw_argv(rng, tmp_path)
+            signal.setitimer(signal.ITIMER_REAL, 3.0)
+            try:
+                code = run(argv)
+            except _DrawTimedOut:
+                pytest.fail(f"{argv}: still running after 3 s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            cap = capsys.readouterr()
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in cap.out + cap.err, argv
+            if code == 2:
+                assert cap.out == "", argv
+                errors = [line for line in cap.err.splitlines() if "error:" in line]
+                assert len(errors) == 1, (argv, cap.err)
+                if not cap.err.startswith("usage:"):  # argparse's own lines lead with usage
+                    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1, argv
+            if code == 3:
+                assert cap.err.startswith("internal invariant violated: "), argv
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -13,12 +13,13 @@ from quadcf.gauss_kuzmin import (
     GaussMeasure,
     Pattern,
     c_w,
+    _window_counts,
     cylinder,
     pattern_frequency,
 )
 from quadcf.experiments import ScanConfig, converge_scan
-from quadcf.surd import cf_expand, make_surd
-from helpers import random_surd
+from quadcf.surd import CFExpansion, cf_expand, make_surd
+from helpers import random_surd, window_count
 
 
 def test_single_digit_cylinders():
@@ -161,6 +162,83 @@ def test_pattern_frequency_matches_string_oracle():
             1 for i in range(L) if tuple(ext[i : i + len(w)]) == w
         )
         assert pattern_frequency(e, w) == Fraction(count, L)
+
+
+def test_window_counts_match_the_tuple_window_oracle():
+    # several words per call, bordered ones among them, and k up to 3L + 2
+    rng = random.Random(94)
+    for _ in range(300):
+        e = cf_expand(random_surd(rng))
+        period, L = e.period, len(e.period)
+        words = [(1,), (1, 1), (1, 2, 1), (2, 1, 2)]
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 3 * L + 2)
+            if rng.random() < 0.5:  # a factor of the digit tail
+                i = rng.randrange(L)
+                words.append((period * (k // L + 2))[i : i + k])
+            else:
+                words.append(tuple(rng.choice(period + (1, 2)) for _ in range(k)))
+        want = [window_count(period, w) for w in words]
+        assert _window_counts(period, words) == want, period
+        for w, count in zip(words, want):
+            assert pattern_frequency(e, w) == Fraction(count, L)
+
+
+# byte-lane boundaries, and digits the 32-bit array cannot hold
+WIDE_DIGITS = (255, 256, 257, 65537, 2**24 + 1, 2**32 - 1, 2**32, 2**40 + 3)
+
+
+def test_window_counts_on_synthetic_periods_with_wide_digits():
+    rng = random.Random(95)
+    for _ in range(600):
+        alphabet = [1, 2, *rng.sample(WIDE_DIGITS, rng.randint(1, 3))]
+        L = rng.choice((1, 1, 2, 3, rng.randint(4, 40)))
+        e = CFExpansion((rng.randint(-3, 3),), tuple(rng.choice(alphabet) for _ in range(L)))
+        period = e.period
+        words = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 3 * L + 2)
+            if rng.random() < 0.5:
+                i = rng.randrange(L)
+                words.append((period * (k // L + 2))[i : i + k])
+            else:  # digits off the period too, one byte apart from its own
+                pool = alphabet + [rng.choice(WIDE_DIGITS), 1 + 256 * rng.randint(1, 2**24)]
+                words.append(tuple(rng.choice(pool) for _ in range(k)))
+        want = [window_count(period, w) for w in words]
+        assert _window_counts(period, words) == want, (period, words)
+        for w, count in zip(words, want):
+            assert pattern_frequency(e, w) == Fraction(count, L)
+
+
+def test_window_counts_of_bordered_words_count_overlapping_windows():
+    period = (1, 1, 2, 1, 2, 1)  # (1, 1) and (1, 1, 1) also start at its last digit
+    assert _window_counts(period, [(1, 1), (1, 2, 1), (1, 1, 1), (2, 1, 1), (2,)]) == [
+        2, 2, 1, 1, 2,
+    ]
+    assert _window_counts((7,), [(7,), (7,) * 5, (7, 8), (8,)]) == [1, 1, 0, 0]
+    assert _window_counts((2**32, 1), [(2**32,), (1, 2**32, 1), (2**32 + 1,)]) == [1, 1, 0]
+    assert _window_counts((257, 1), [(1,), (257,), (2,), (1, 257)]) == [1, 1, 0, 1]
+
+
+def test_window_counts_memory_is_linear_in_the_period():
+    # no mask outlives its digit: 64 distinct digits, one word of all of
+    # them and 64 words of one each, peak at a small multiple of L bytes
+    # where holding every digit's mask would take 59 L
+    e = cf_expand(make_surd(0, 1999, 2, 1))
+    period, L = e.period, len(e.period)
+    assert L == 1496
+    digits = sorted(set(period))
+    assert len(digits) == 59
+    digits += [2**8 + 3, 2**16 + 3, 2**24 + 3, 2**32 - 3, 2**40 + 3]
+    for words in ([tuple(digits)], [(a,) for a in digits]):
+        tracemalloc.start()
+        try:
+            counts = _window_counts(period, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [window_count(period, w) for w in words]
+        assert peak < 20 * L, peak
 
 
 def test_refinement_identity_is_exact():
