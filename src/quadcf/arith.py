@@ -42,9 +42,10 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-# Deterministic Miller-Rabin witnesses: these twelve bases decide primality
-# correctly for every n < 3.3 * 10**24 (covers all of 2**64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses: the thirteen primes up to 41 decide
+# every n < _MR_DET_LIMIT (about 3.3 * 10**24, all of 2**64), the least strong
+# pseudoprime to all of them; the twelve up to 37 only n < 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DET_LIMIT = 3317044064679887385961981
 # Most multiples of a prime _spf_table writes in one slice assignment.
 _SPF_BLOCK = 2**16
@@ -110,11 +111,6 @@ def _spf_scope(bound: int):
         _spf = array("I")
 
 
-_SMALL_PRIMES = tuple(primes_up_to(97))
-# A composite with no prime factor in _SMALL_PRIMES is at least 101**2.
-_SMALL_PRIMES_DECIDE_BELOW = 101**2
-
-
 def _mr_witness(n: int, a: int) -> bool:
     """True if a witnesses compositeness of odd n > 2."""
     d = n - 1
@@ -135,29 +131,22 @@ def _mr_witness(n: int, a: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test.
 
-    The scan's table decides every n it covers; trial division by the
-    primes up to 97 every n below 101**2. Deterministic Miller-Rabin decides
-    the rest below 3.3e24 (so everything under 2**64). Above that, 64
-    Miller-Rabin rounds with seeded bases; error probability below 2**-128.
+    The scan's table decides every n it covers, parity every even n, and
+    Miller-Rabin the odd rest: exactly below _MR_DET_LIMIT with the bases
+    _MR_BASES (a base that n divides is skipped; base 2 alone is exact below
+    2047), and at or above it with 64 bases drawn from random.Random(n),
+    wrong with probability below 2**-128.
     """
     if n < len(_spf):
         return n > 1 and _spf[n] == n
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < _SMALL_PRIMES_DECIDE_BELOW:
-        return True
+    if n < 3 or n % 2 == 0:
+        return n == 2
     if n < _MR_DET_LIMIT:
-        return not any(_mr_witness(n, a) for a in _MR_BASES if a % n)
-    rng = random.Random(n)
-    for _ in range(64):
-        if _mr_witness(n, rng.randrange(2, n - 1)):
-            return False
-    return True
+        bases = _MR_BASES
+    else:
+        rng = random.Random(n)
+        bases = (rng.randrange(2, n - 1) for _ in range(64))
+    return not any(_mr_witness(n, a) for a in bases if a % n)
 
 
 def _pollard_brent(n: int, rng: random.Random, budget: int) -> tuple[int, int]:

@@ -23,6 +23,7 @@ from .experiments import (
     OrderRecord,
     ScanConfig,
     UsageError,
+    _TABLE_FORMATS,
     _table_chunks,
     artin_scan,
     artin_stats,
@@ -35,6 +36,7 @@ from .experiments import (
     duke_stats,
     duke_summary_lines,
     emit,
+    run_items,
 )
 from .quad_orders import (
     OrderSpec,
@@ -183,7 +185,7 @@ def cmd_scan(args) -> int:
     spec = _SCANS[args.command]
     st = _merge_settings({**spec.settings, **_OUTPUT_DEFAULTS}, args)
     output, fmt, summary = (st.pop(key) for key in _OUTPUT_DEFAULTS)
-    if fmt not in ("csv", "json"):
+    if fmt not in _TABLE_FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
     summary_path = None if summary == "-" else summary
     for path in (output, summary_path):
@@ -232,10 +234,9 @@ def cmd_unit(args) -> int:
 
 def cmd_classno(args) -> int:
     check_form_work(args.disc, args.disc)
-    try:
-        tl, nred = _total_length(args.disc, *fundamental_decomposition(args.disc))
-    except InvariantError as e:  # named as the duke runner names a failing item
-        raise InvariantError(f"disc={args.disc}: {e}") from e
+    # one item through the runner, so a failure names the disc as duke's does
+    [(tl, nred)] = run_items(lambda _, disc: _total_length(disc, *fundamental_decomposition(disc)),
+                             None, [args.disc], 1, "disc")
     emit([
         f"disc={args.disc} h={tl.h} reduced_forms={nred} reg={tl.reg!r} "
         f"total_length={tl.total_length!r} exponent={tl.exponent!r}\n"

@@ -268,16 +268,19 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     validate_config(cfg)
     if not cfg.patterns:
         raise UsageError("need at least one pattern")
+    pats = []
     for w in cfg.patterns:
-        if not w or any(a < 1 for a in w):
-            raise UsageError(f"bad pattern {w}")
+        try:
+            pats.append(Pattern(tuple(w)))
+        except ValueError:
+            raise UsageError(f"bad pattern {w}") from None
         if len(w) > _MAX_PATTERN_DIGITS:
             raise UsageError(f"a pattern may have at most {_MAX_PATTERN_DIGITS} digits")
     base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
     cf_expand(base)  # the bounded walk refuses a radicand too large before it is factored
     # surd_coords factors the radicand: its m is squarefree, so it is not factored again
     fdata = _squarefree_field(surd_coords(base)[0])
-    patterns = [(Pattern(w).label(), tuple(w), c_w(w).as_float()) for w in cfg.patterns]
+    patterns = [(w.label(), w.digits, c_w(w).as_float()) for w in pats]
     per_n = _scan_sequence(_converge_item, (base, fdata, patterns), cfg)
     return [row for rows in per_n for row in rows]
 
@@ -469,6 +472,9 @@ def duke_summary_lines(stats: dict) -> list[str]:
 
 # ---- serialization ----
 
+_TABLE_FORMATS = ("csv", "json")
+
+
 def _table_chunks(row_type: type, rows: list, fmt: str) -> Iterator[str]:
     """render_table's text in chunks: the CSV header, then one chunk per
     row, or in JSON one chunk per row and the closing bracket."""
@@ -492,8 +498,11 @@ def _table_chunks(row_type: type, rows: list, fmt: str) -> Iterator[str]:
 
 def render_table(row_type: type, rows: list, fmt: str) -> str:
     """The rows as a CSV or JSON table (json.dumps(..., indent=2)) whose columns
-    are the fields of the named tuple row_type, in declaration order. The CLI
-    hands emit the same chunks unjoined."""
+    are the fields of the named tuple row_type, in declaration order; any fmt
+    but "csv" or "json" raises UsageError. The CLI hands emit the same chunks
+    unjoined."""
+    if fmt not in _TABLE_FORMATS:
+        raise UsageError(f"unknown format {fmt!r}")
     return "".join(_table_chunks(row_type, rows, fmt))
 
 

@@ -156,10 +156,7 @@ def unit_index_check(f: FieldData, x: Surd, y: Surd, p: int) -> int:
     """
     if mobius_coeffs(x, y) == (1, 0, 1):
         return 1  # same value, degenerate
-    if not are_neighbors(x, y, p):
-        raise ValueError("not p-neighbors")
-    lx = conductor_of_surd(f, x)
-    ly = conductor_of_surd(f, y)
+    lx, ly, _ = conductor_bounds_check(f, x, y, p)
     gen = alg_pow(f, f.epsD, unit_group_index(f, lx))
     power = gen
     for l in range(1, p + 2):

@@ -24,10 +24,10 @@ def test_is_square():
 
 
 def test_is_prime_matches_sieve():
-    primes = set(sieve_primes(2 * 10**4))  # past the trial-division cutoff 101**2
+    primes = set(sieve_primes(2 * 10**4))  # past 2047, the least strong pseudoprime to base 2
     for n in range(-3, 2 * 10**4 + 1):
         assert is_prime(n) == (n in primes), n
-    assert is_prime(10201) is False  # 101**2, the first composite trial division misses
+    assert is_prime(10201) is False  # 101**2
     assert is_prime(10403) is False  # 101 * 103
 
 
@@ -39,6 +39,24 @@ def test_is_prime_known_values():
     assert not is_prime(2**67 - 1)  # = 193707721 * 761838257287
     for carmichael in (561, 1105, 1729, 2465, 41041, 825265):
         assert not is_prime(carmichael)
+
+
+def test_is_prime_refuses_strong_pseudoprimes_to_the_first_primes():
+    # 399165290221 * 798330580441 passes Miller-Rabin to each of the twelve
+    # bases 2..37; base 41 witnesses it
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not any(arith._mr_witness(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert is_prime(n) is False
+    # its balanced 12-digit factors need more Pollard rho steps than the
+    # budget allows: a refusal, never n itself as a prime factor
+    with pytest.raises(ValueError, match="cannot factor"):
+        factorize(n)
+    # the least strong pseudoprime to all thirteen bases 2..41 is where the
+    # fixed bases stop; the seeded bases decide it
+    assert arith._MR_DET_LIMIT == 3317044064679887385961981
+    assert not any(arith._mr_witness(arith._MR_DET_LIMIT, a) for a in arith._MR_BASES)
+    assert is_prime(arith._MR_DET_LIMIT) is False
 
 
 def test_factorize_small_range():

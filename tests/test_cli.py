@@ -312,6 +312,13 @@ def test_refusals_name_their_limit(capsys):
         assert limit in capsys.readouterr().err, argv
 
 
+def test_bad_patterns_are_named(capsys):
+    # Pattern alone decides which patterns are valid; converge names the one it refuses
+    for text, err in (("0", "error: bad pattern (0,)\n"), ("1;0,2", "error: bad pattern (0, 2)\n")):
+        assert run(["converge", "--patterns", text]) == 2, text
+        assert capsys.readouterr() == ("", err), text
+
+
 def test_factoring_budget_refuses_fast(capsys):
     # sqrt(10**160 - 1) has period length 2, so no walk budget stops it:
     # factoring the 160-digit radicand is refused by the Pollard rho budget

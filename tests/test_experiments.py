@@ -549,6 +549,9 @@ def test_render_table_csv_and_json():
         {"b": 0.5, "a": 2, "c": "x"},
     ]
     assert list(json.loads(text)[0]) == ["b", "a", "c"]
+    for fmt in ("xml", "CSV", ""):  # no other format falls through to JSON
+        with pytest.raises(UsageError, match=f"^unknown format {fmt!r}$"):
+            render_table(Row, rows, fmt)
 
 
 class EdgeRow(NamedTuple):

@@ -94,6 +94,28 @@ def _imported_modules():
                 yield path.name, node.lineno, node.module or ""
 
 
+def test_every_imported_name_is_used():
+    # a deletion must not leave its imports behind; __init__.py's imports are
+    # the public surface, and a __future__ import is a compiler directive
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name} line {line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, f"imported but not used: {', '.join(unused)}"
+
+
 def test_no_module_imports_dataclasses():
     # records are named tuples, one idiom, and cost no code generation at import
     for name, lineno, module in _imported_modules():
