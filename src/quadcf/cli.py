@@ -23,6 +23,7 @@ from .experiments import (
     OrderRecord,
     ScanConfig,
     UsageError,
+    _SEQUENCES,
     _TABLE_FORMATS,
     _table_chunks,
     artin_scan,
@@ -254,7 +255,7 @@ def _add_surd_flags(sp) -> None:
 
 
 def _add_scan_flags(sp) -> None:
-    sp.add_argument("--sequence", metavar="{integers,primes}")
+    sp.add_argument("--sequence", metavar="{%s}" % ",".join(_SEQUENCES))
     sp.add_argument("--bound", type=int)
     sp.add_argument("--coprime-filter", type=int)
     sp.add_argument("--workers", type=int)
@@ -263,7 +264,7 @@ def _add_scan_flags(sp) -> None:
 
 def _add_output_flags(sp) -> None:
     sp.add_argument("--output", help="write the table here instead of stdout")
-    sp.add_argument("--format", metavar="{csv,json}")
+    sp.add_argument("--format", metavar="{%s}" % ",".join(_TABLE_FORMATS))
     sp.add_argument(
         "--summary", nargs="?", const="-",
         help="write summary statistics to this path ('-' or bare flag: stderr)",

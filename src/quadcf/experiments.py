@@ -62,8 +62,15 @@ class ScanConfig(NamedTuple):
     workers: int = 1
 
 
+# Each sequence's name and its N up to a bound, in the order --help lists them.
+_SEQUENCES = {
+    "integers": lambda bound: range(2, bound + 1),
+    "primes": primes_up_to,
+}
+
+
 def validate_config(cfg: ScanConfig) -> None:
-    if cfg.sequence not in ("integers", "primes"):
+    if cfg.sequence not in _SEQUENCES:
         raise UsageError(f"unknown sequence {cfg.sequence!r}")
     if cfg.bound < 2:
         raise UsageError("bound must be >= 2")
@@ -74,7 +81,7 @@ def validate_config(cfg: ScanConfig) -> None:
 
 
 def sequence_values(cfg: ScanConfig) -> Sequence[int]:
-    ns = primes_up_to(cfg.bound) if cfg.sequence == "primes" else range(2, cfg.bound + 1)
+    ns = _SEQUENCES[cfg.sequence](cfg.bound)
     if cfg.coprime_filter:
         ns = [n for n in ns if math.gcd(n, cfg.coprime_filter) == 1]
     if not ns:

@@ -1,23 +1,19 @@
 """Multiplicative orders of 2x2 integer matrices mod N.
 
-Each matrix exponent here is the least j >= 1 in a subgroup of Z: the j
-with M^j = I, with M^j scalar, or with M^j = +-I mod N. Given a multiple
-of it, the least one is found by stripping the multiple's prime factors,
-keeping each removal while the power still passes (_least_exponent).
-
 The order mod N is the lcm of the orders mod each p^e || N (CRT). The
-order mod p^e is stripped out of a multiple of the order mod p times
-p^(e-1), the exponent of the kernel of reduction mod p^e -> p. Mod an odd
-p the characteristic polynomial gives that multiple (p-1 split, p+1 or
-2(p+1) inert depending on det, p^2-1 inert otherwise, p(p-1) for a double
-root); mod 2 it is 6, the exponent of GL2(F2) = S3. A scan over N meets
-the same p^e again and again, so the order mod p^e is memoised per
-process on (M, p, e), in a dict of at most _MEMO_SIZE entries that
-evicts the least recently used.
+order mod p^e is stripped out of a multiple k of it: each prime q of k is
+divided out of k for as long as M^(k/q) = I still holds. k is p^(e-1),
+the exponent of the kernel of reduction mod p^e -> p, times a multiple of
+the order mod p. Mod an odd p the characteristic polynomial gives that
+multiple (p-1 split, p+1 or 2(p+1) inert depending on det, p^2-1 inert
+otherwise, p(p-1) for a double root); mod 2 it is 6, the exponent of
+GL2(F2) = S3. A scan over N meets the same p^e again and again, so the
+order mod p^e is memoised per process on (M, p, e), in a dict of at most
+_MEMO_SIZE entries that evicts the least recently used.
 
 A scan installs one smallest-prime-factor table around its items (see
-arith); while it is in place, factorize and is_prime read N, the
-multiples of the orders mod p and the orders themselves off it.
+arith); while it is in place, factorize and is_prime read N and the
+multiples of the orders mod p off it.
 
 The witness mod N proves the order o: A = M^(o/q0) mod N for the least
 prime q0 of o shows M^(o/q0) != I, its power A^q0, which is M^o mod N,
@@ -40,9 +36,9 @@ the pair and M's entries without building the matrix; the entries, trace
 and det are reduced mod n once per (M, n) (_reduce).
 
 Mat2 lives here, with the code that powers it. quad_orders builds its
-matrices (phi), strips the unit-group index out of mat_order_mod's order
-with _least_exponent and reads the power at that index with _power; this
-module imports nothing from quad_orders, not even for annotations.
+matrices (phi), reads the unit-group index off mat_order_mod's order with
+_is_scalar_power and the power at that index with _power; this module
+imports nothing from quad_orders, not even for annotations.
 """
 
 from __future__ import annotations
@@ -145,16 +141,6 @@ def _is_scalar_power(R: tuple, k: int, n: int) -> bool:
     return not (u * b % n or u * c % n or u * (a - d) % n)
 
 
-def _least_exponent(R: tuple, n: int, k: int, primes, test) -> int:
-    """Least j >= 1 with test(R, j, n), given a multiple k of it and every
-    prime of k; R = _reduce(M, n), and test is a power test such as
-    _is_identity_power. The accepted j must form a subgroup of Z."""
-    for q in primes:
-        while k % q == 0 and test(R, k // q, n):
-            k //= q
-    return k
-
-
 def _order_multiple(M: Mat2, p: int) -> int:
     """A multiple of the order of M mod the prime p, det M a unit mod p."""
     if p == 2:
@@ -189,11 +175,13 @@ def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], b
     n = p**e
     R = _reduce(M, n)
     m = _order_multiple(M, p)
-    k = m * p ** (e - 1)
-    if not _is_identity_power(R, k, n):
-        raise InvariantError(f"candidate exponent {k} is not annihilating mod {n}")
+    o = m * p ** (e - 1)
+    if not _is_identity_power(R, o, n):
+        raise InvariantError(f"candidate exponent {o} is not annihilating mod {n}")
     primes = sorted({*factorize(m).primes, p})
-    o = _least_exponent(R, n, k, primes, _is_identity_power)
+    for q in primes:
+        while o % q == 0 and _is_identity_power(R, o // q, n):
+            o //= q
     if len(_order_memo) >= _MEMO_SIZE:
         del _order_memo[next(iter(_order_memo))]
     _order_memo[key] = entry = o, tuple(q for q in primes if o % q == 0)

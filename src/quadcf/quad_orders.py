@@ -16,8 +16,9 @@ Two different power indices of the fundamental unit appear mod N:
       k = 5).
 
 Regulators use unit_group_index; R_of is kept as the coarser +-I variant.
-The unit-group index is stripped out of the matrix order of phi(epsD)
-mod N, which matrix_orders computes; Mat2 is defined there.
+Since c^4 = 1, the matrix order o of phi(epsD) mod N, which matrix_orders
+computes, is u, 2u or 4u, and the unit-group index is read off it with at
+most two power tests; Mat2 is defined there.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import InvariantError, checked_record, factorize, is_square
-from .matrix_orders import (
-    Mat2,
-    _is_scalar_power,
-    _least_exponent,
-    _power,
-    _reduce,
-    mat_order_mod,
-)
+from .matrix_orders import Mat2, _is_scalar_power, _power, _reduce, mat_order_mod
 from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
 
 
@@ -207,15 +201,20 @@ def in_suborder(f: FieldData, alpha: AlgInt, N: int) -> bool:
 
 
 def unit_group_index(f: FieldData, N: int) -> int:
-    """(Z[xD]^x : Z[N*xD]^x): least k >= 1 with phi(epsD)^k scalar mod N.
-    The scalar powers form a subgroup of Z containing the matrix order, so
-    the least one is stripped out of that order, whose primes come from a
-    scan's smallest-prime-factor table when it covers the order."""
-    if N == 1:
-        return 1
+    """(Z[xD]^x : Z[N*xD]^x): least u >= 1 with phi(epsD)^u scalar mod N.
+
+    It is o/4, o/2 or o for the matrix order o of M = phi(epsD) mod N: the
+    scalar powers of M form a subgroup of Z containing o, so u divides o,
+    and M^u = c*I with c^2 = det(M)^u = +-1, so c^4 = 1, M^(4u) = I and o
+    divides 4u. Hence u is o/4 when M^(o/4) is scalar, else o/2 when M^(o/2)
+    is, else o."""
     M = phi(f, f.epsD)
     o = mat_order_mod(M, N)
-    return _least_exponent(_reduce(M, N), N, o, factorize(o).primes, _is_scalar_power)
+    R = _reduce(M, N)
+    for j in (4, 2):
+        if o % j == 0 and _is_scalar_power(R, o // j, N):
+            return o // j
+    return o
 
 
 def R_of(f: FieldData, N: int) -> int:

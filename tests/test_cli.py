@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -245,6 +246,30 @@ def test_classno_at_the_largest_accepted_discriminant(capsys):
         "disc=10000000001 h=6672 reduced_forms=137216 reg=12.206072645555182 "
         "total_length=81438.91669114417 exponent=0.9821663975959721\n"
     )
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_help_lists_each_owners_names(capsys, monkeypatch, extra):
+    # --sequence and --format spell their choices from the owners' names, in
+    # the owners' order, so a name added to an owner shows in --help too
+    sequences, formats = list(experiments._SEQUENCES), list(experiments._TABLE_FORMATS)
+    if extra:
+        sequences.append("squares")
+        formats.append("tsv")
+        monkeypatch.setattr(cli, "_SEQUENCES", dict.fromkeys(sequences))
+        monkeypatch.setattr(cli, "_TABLE_FORMATS", tuple(formats))
+    for command, owners in [
+        ("converge", {"--sequence": sequences, "--format": formats}),
+        ("artin", {"--sequence": sequences, "--format": formats}),
+        ("duke", {"--format": formats}),
+    ]:
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        text = capsys.readouterr().out
+        # once in the usage lines, once in the options list
+        for flag in ("--sequence", "--format"):
+            want = [",".join(owners[flag])] * 2 if flag in owners else []
+            assert re.findall(flag + r" \{([^}]*)\}", text) == want, (command, flag)
 
 
 def test_exit_code_2_on_bad_usage(capsys):

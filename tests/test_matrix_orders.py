@@ -513,9 +513,9 @@ def test_spf_table_is_the_same_in_blocks_of_any_size(monkeypatch):
 
 def test_spf_table_covers_what_the_scan_factors(monkeypatch):
     # N <= bound, and p - 1, p + 1 and 2(p + 1) for p <= bound; also p(p - 1)
-    # at the ramified primes 5 and 17 of d = 85, and the orders the unit
-    # index is stripped from: every call made while the table is in place
-    # falls inside it, and before it only the set-up factors the radicand
+    # at the ramified primes 5 and 17 of d = 85: every call made while the
+    # table is in place falls inside it, and before it only the set-up
+    # factors the radicand
     modules = [m for m in vars(quadcf).values() if isinstance(m, types.ModuleType)]
     reads = {name: _record_table_reads(monkeypatch, name, [m for m in modules if name in vars(m)])
              for name in ("factorize", "is_prime")}

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadcf import quad_orders
+from quadcf import matrix_orders, quad_orders
 from quadcf.arith import InvariantError
+from quadcf.matrix_orders import _order_memo, mat_order_mod
 from quadcf.quad_orders import (
     AlgInt,
     Mat2,
@@ -195,6 +196,49 @@ def test_unit_indices_match_the_ring_oracle_below_300():
         for n in range(1, 301):
             assert unit_group_index(f, n) == brute_unit_index(f, n), (d, n)
             assert R_of(f, n) == brute_sign_index(f, n), (d, n)
+
+
+def test_unit_group_index_is_the_matrix_order_over_1_2_or_4():
+    # phi(eps)^u = c*I with c^4 = 1, so u is o, o/2 or o/4 for the order o;
+    # o/u = 4 needs c = +-sqrt(-1), so c^2 = N(eps)^u = -1 and N(eps) = -1
+    seen = {}
+    for d in (2, 3, 5, 6, 7, 13, 14, 85):
+        f = field_data(d)
+        M = phi(f, f.epsD)
+        for n in range(1, 400):
+            u = unit_group_index(f, n)
+            assert u == brute_unit_index(f, n), (d, n)
+            seen.setdefault(f.unit_norm, set()).add(mat_order_mod(M, n) // u)
+    assert seen == {-1: {1, 2, 4}, 1: {1, 2}}
+
+
+def test_unit_group_index_takes_at_most_two_powers_past_the_order(monkeypatch):
+    # the index is read off the order o with M^(o/4) and M^(o/2) alone:
+    # no factorization of o and no strip of its primes
+    calls = []
+    real = matrix_orders._lucas
+
+    def counting(t, det, k, n):
+        calls.append(k)
+        return real(t, det, k, n)
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    fields = [field_data(d) for d in (5, 3, 85)]  # field_data factors d
+    monkeypatch.setattr(matrix_orders, "_lucas", counting)
+    monkeypatch.setattr(quad_orders, "factorize", refuse)
+    for f in fields:
+        M = phi(f, f.epsD)
+        for n in (1, 2, 4, 5, 12, 48, 97, 360, 1001, 2**10 * 3**4, 65537):
+            _order_memo.clear()
+            calls.clear()
+            mat_order_mod(M, n)
+            order_ladders = len(calls)
+            _order_memo.clear()
+            calls.clear()
+            unit_group_index(f, n)
+            assert len(calls) - order_ladders <= 2, (f.D, n)
 
 
 def test_sign_index_witness_trips_on_a_wrong_unit_index(monkeypatch):
