@@ -39,6 +39,7 @@ from .experiments import (
     emit,
     run_items,
 )
+from .matrix_orders import _order_scope
 from .quad_orders import (
     OrderSpec,
     R_of,
@@ -226,10 +227,11 @@ def cmd_unit(args) -> int:
         raise UsageError("fundamental unit is too large for a float value") from None
     emit([line + "\n"], None)
     if o.f > 1:
-        emit([
-            f"conductor={o.f} disc={o.disc} unit_index={unit_group_index(f, o.f)} "
-            f"pm_index={R_of(f, o.f)} order_regulator={regulator_of_order(o)!r}\n"
-        ], None)
+        with _order_scope(2 * o.f):  # all three read the order mod f: keep each p^e of f
+            emit([
+                f"conductor={o.f} disc={o.disc} unit_index={unit_group_index(f, o.f)} "
+                f"pm_index={R_of(f, o.f)} order_regulator={regulator_of_order(o)!r}\n"
+            ], None)
     return 0
 
 

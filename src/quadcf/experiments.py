@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .arith import InvariantError, _spf_scope, checked_record, is_prime, kronecker, primes_up_to
 from .class_geodesics import TotalLength, _is_disc, _total_length, fundamental_decomposition
 from .gauss_kuzmin import Pattern, _window_counts, c_w
-from .matrix_orders import mat_order_mod
+from .matrix_orders import _order_scope, mat_order_mod
 from .quad_orders import (
     OrderSpec,
     _squarefree_field,
@@ -90,12 +90,15 @@ def sequence_values(cfg: ScanConfig) -> Sequence[int]:
 
 
 def _scan_sequence(kernel, ctx, cfg: ScanConfig) -> list:
-    """run_items over sequence_values(cfg) with one smallest-prime-factor
-    table in place up to 2*bound + 2: every N <= bound, and every p - 1,
-    p + 1 and 2(p + 1) of a prime p <= bound, the multiples of the orders
-    mod p that the order of a matrix mod N is stripped from."""
+    """run_items over sequence_values(cfg) with two scopes in place: the
+    smallest-prime-factor table up to 2*bound + 2 (arith._spf_scope), which
+    covers every N <= bound and every p - 1, p + 1 and 2(p + 1) of a prime
+    p <= bound, the multiples of the orders mod p that the order of a
+    matrix mod N is stripped from; and the memo of the orders mod each p^e
+    with 2p^e <= bound (matrix_orders._order_scope). Both are removed when
+    the scan ends, raised or not."""
     ns = sequence_values(cfg)
-    with _spf_scope(2 * cfg.bound + 2):
+    with _spf_scope(2 * cfg.bound + 2), _order_scope(cfg.bound):
         return run_items(kernel, ctx, ns, cfg.workers)
 
 
@@ -275,14 +278,17 @@ def converge_scan(cfg: ScanConfig) -> list[DeviationRow]:
     validate_config(cfg)
     if not cfg.patterns:
         raise UsageError("need at least one pattern")
-    pats = []
+    pats = {}
     for w in cfg.patterns:
         try:
-            pats.append(Pattern(tuple(w)))
+            pat = Pattern(tuple(w))
         except ValueError:
             raise UsageError(f"bad pattern {w}") from None
         if len(w) > _MAX_PATTERN_DIGITS:
             raise UsageError(f"a pattern may have at most {_MAX_PATTERN_DIGITS} digits")
+        if pat in pats:  # its rows would be written twice
+            raise UsageError(f"repeated pattern {w}")
+        pats[pat] = None
     base = make_surd(cfg.p, cfg.r, cfg.d, cfg.q)
     cf_expand(base)  # the bounded walk refuses a radicand too large before it is factored
     # surd_coords factors the radicand: its m is squarefree, so it is not factored again

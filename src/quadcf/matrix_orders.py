@@ -7,13 +7,17 @@ the exponent of the kernel of reduction mod p^e -> p, times a multiple of
 the order mod p. Mod an odd p the characteristic polynomial gives that
 multiple (p-1 split, p+1 or 2(p+1) inert depending on det, p^2-1 inert
 otherwise, p(p-1) for a double root); mod 2 it is 6, the exponent of
-GL2(F2) = S3. A scan over N meets the same p^e again and again, so the
-order mod p^e is memoised per process on (M, p, e), in a dict of at most
-_MEMO_SIZE entries that evicts the least recently used.
+GL2(F2) = S3.
 
 A scan installs one smallest-prime-factor table around its items (see
 arith); while it is in place, factorize and is_prime read N and the
-multiples of the orders mod p off it.
+multiples of the orders mod p off it. A scan over N <= bound meets the
+same p^e again at every multiple of it, so it also installs an order memo
+on (M, p, e) (_order_scope), which keeps the order mod p^e when 2p^e <=
+bound: a larger p^e divides no other N of the scan. The unit command
+installs one for the three numbers it reads off the order mod its
+conductor. Elsewhere nothing is memoised: what a call costs, and which
+checks it runs, depend on its arguments alone.
 
 The witness mod N proves the order o: A = M^(o/q0) mod N for the least
 prime q0 of o shows M^(o/q0) != I, its power A^q0, which is M^o mod N,
@@ -22,7 +26,7 @@ at o = 1 the one check is M = I. That is 1 + omega(o) powers mod N, M^o
 coming from the small exponent q0. The witness runs wherever its verdict
 is new to the call: for every N with two or more prime powers, where the
 lcm is new, and for N = p^e on a memo hit, so a wrong memo entry raises.
-It does not run when N = p^e has just missed the memo, since the strip
+It does not run when N = p^e has just computed its order, since the strip
 has then proven the same facts mod N: M^o = I is its last kept removal
 (or the multiple it started from), and for each prime q of o the removal
 that stopped it found M^(k/q) != I at a multiple k of o, so M^(o/q) != I
@@ -44,6 +48,7 @@ imports nothing from quad_orders, not even for annotations.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import NamedTuple
 
 from .arith import InvariantError, factorize, kronecker
@@ -158,19 +163,31 @@ def _order_multiple(M: Mat2, p: int) -> int:
     return p * p - 1  # inert, general det
 
 
-# (M, p, e) -> (order of M mod p^e, the primes of that order); the first
-# key is the least recently used
+# The running scan's memo, (M, p, e) -> (order of M mod p^e, the primes of
+# that order), and the bound of its N; empty and 0 outside a scan. Forked
+# workers inherit them.
 _order_memo: dict[tuple[Mat2, int, int], tuple[int, tuple[int, ...]]] = {}
-_MEMO_SIZE = 4096
+_order_bound = 0
+
+
+@contextmanager
+def _order_scope(bound: int):
+    """An empty order memo for a scan over N <= bound, in place for the body
+    of the with-statement and removed after it, raised or not."""
+    global _order_memo, _order_bound
+    _order_memo, _order_bound = {}, bound
+    try:
+        yield
+    finally:
+        _order_memo, _order_bound = {}, 0
 
 
 def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], bool]:
     """Order of M mod p^e, det M a unit mod p, the primes of that order, and
-    whether this call computed them (True) or read them from _order_memo."""
-    key = (M, p, e)
-    entry = _order_memo.pop(key, None)
+    whether this call computed them (True) or read them from _order_memo.
+    A computed order is kept when 2p^e <= _order_bound."""
+    entry = _order_memo.get((M, p, e))
     if entry is not None:
-        _order_memo[key] = entry  # re-inserted as the most recently used
         return (*entry, False)
     n = p**e
     R = _reduce(M, n)
@@ -182,9 +199,9 @@ def _prime_power_order(M: Mat2, p: int, e: int) -> tuple[int, tuple[int, ...], b
     for q in primes:
         while o % q == 0 and _is_identity_power(R, o // q, n):
             o //= q
-    if len(_order_memo) >= _MEMO_SIZE:
-        del _order_memo[next(iter(_order_memo))]
-    _order_memo[key] = entry = o, tuple(q for q in primes if o % q == 0)
+    entry = o, tuple(q for q in primes if o % q == 0)
+    if 2 * n <= _order_bound:
+        _order_memo[M, p, e] = entry
     return (*entry, True)
 
 
@@ -193,8 +210,9 @@ def mat_order_mod(M: Mat2, N: int) -> int:
 
     The result o is verified mod N: M^o = I and M^(o/q) != I for every
     prime q dividing o, M^o as the q0-th power of M^(o/q0) for the least
-    prime q0. When N = p^e misses the (M, p, e) memo, the strip that found
-    o has just proven both mod N; otherwise they are tested here.
+    prime q0. When N = p^e computes its order rather than reading it from
+    an installed (M, p, e) memo, the strip that found o has just proven both
+    mod N; otherwise they are tested here.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -1,6 +1,17 @@
 import pytest
 
+from quadcf import arith, matrix_orders
+
 _acceptance_lines: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def no_scan_state_left():
+    """A scan's smallest-prime-factor table and order memo live as long as
+    the scan: after every test, neither is left in place."""
+    yield
+    assert not arith._spf, "a smallest-prime-factor table outlived its scope"
+    assert not matrix_orders._order_memo, "an order memo outlived its scope"
 
 
 @pytest.fixture

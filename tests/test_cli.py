@@ -337,11 +337,20 @@ def test_refusals_name_their_limit(capsys):
         assert limit in capsys.readouterr().err, argv
 
 
-def test_bad_patterns_are_named(capsys):
-    # Pattern alone decides which patterns are valid; converge names the one it refuses
-    for text, err in (("0", "error: bad pattern (0,)\n"), ("1;0,2", "error: bad pattern (0, 2)\n")):
-        assert run(["converge", "--patterns", text]) == 2, text
-        assert capsys.readouterr() == ("", err), text
+def test_bad_patterns_are_named(capsys, tmp_path):
+    # Pattern alone decides which patterns are valid; converge names the one it
+    # refuses, and a repeated pattern, whose rows it would write twice
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("patterns = 1;1\n")
+    for argv, err in (
+        (["--patterns", "0"], "error: bad pattern (0,)\n"),
+        (["--patterns", "1;0,2"], "error: bad pattern (0, 2)\n"),
+        (["--patterns", "1;1"], "error: repeated pattern (1,)\n"),
+        (["--patterns", "1;2,1;01"], "error: repeated pattern (1,)\n"),
+        (["--config", str(cfgfile)], "error: repeated pattern (1,)\n"),
+    ):
+        assert run(["converge", *argv]) == 2, argv
+        assert capsys.readouterr() == ("", err), argv
 
 
 def test_factoring_budget_refuses_fast(capsys):

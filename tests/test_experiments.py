@@ -267,7 +267,6 @@ def test_artin_scan_peaks_near_what_it_returns(monkeypatch, workers, ratio):
     # One-record lists, a flattened copy and each child's whole pickle
     # peaked at 1.44x and 1.81x of what the scan returns.
     monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(matrix_orders, "_order_memo", {})  # as in a fresh process
     tracemalloc.start()
     try:
         recs = artin_scan(ScanConfig(d=5, bound=10**4, workers=workers))

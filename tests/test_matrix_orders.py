@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import types
+from collections import Counter
 
 import pytest
 
 from quadcf.experiments import COMPOSITE, INERT, RAMIFIED, SPLIT, OrderRecord
 from quadcf.matrix_orders import mat_order_mod
 import quadcf
+import quadcf.cli as cli
 from quadcf import arith, experiments, matrix_orders
 from quadcf.arith import InvariantError, _spf_scope, factorize
 from quadcf.experiments import ScanConfig, artin_scan, converge_scan
@@ -15,7 +17,7 @@ from quadcf.quad_orders import AlgInt, Mat2, field_data, phi
 from quadcf.matrix_orders import (
     _is_identity_power,
     _is_scalar_power,
-    _order_memo,
+    _order_scope,
     _power,
     _prime_power_order,
     _reduce,
@@ -89,16 +91,19 @@ def test_prime_power_memo_matches_brute_cold_and_warm():
         M: {n: brute_mat_order((M.a, M.b, M.c, M.d), n) for n in range(1, 400) if math.gcd(M.det, n) == 1}
         for M in MEMO_MATRICES
     }
-    for M, orders in want.items():  # ascending N from an empty memo
-        _order_memo.clear()
+    rng = random.Random(44)
+    with _order_scope(2 * 400):  # every p^e < 400 is kept
+        for M, orders in want.items():  # ascending N, each M's p^e computed first
+            for n, o in orders.items():
+                assert mat_order_mod(M, n) == o, (M, n)
+        for M, orders in want.items():  # shuffled N, every p^e read from the memo
+            ns = list(orders)
+            rng.shuffle(ns)
+            for n in ns:
+                assert mat_order_mod(M, n) == orders[n], (M, n)
+    for M, orders in want.items():  # no scan, no memo: each N computed afresh
         for n, o in orders.items():
             assert mat_order_mod(M, n) == o, (M, n)
-    rng = random.Random(44)
-    for M, orders in want.items():  # shuffled N, memo warm from the other matrices
-        ns = list(orders)
-        rng.shuffle(ns)
-        for n in ns:
-            assert mat_order_mod(M, n) == orders[n], (M, n)
 
 
 def test_prime_power_order_returns_the_primes_of_the_order():
@@ -115,33 +120,59 @@ def test_prime_power_order_returns_the_primes_of_the_order():
 
 def test_artin_scan_reuses_prime_power_orders(monkeypatch):
     calls = _counted_powers(monkeypatch)
-    _order_memo.clear()
     artin_scan(ScanConfig(d=5, sequence="integers", bound=2000))
     assert 1999 <= len(calls) <= 9500  # 15 856 when every N recomputed each p^e || N
 
 
-@pytest.fixture
-def empty_memo():
-    """The (M, p, e) memo, empty at the start and cleared at the end."""
-    _order_memo.clear()
-    yield _order_memo
-    _order_memo.clear()
+def _counted_strips(monkeypatch) -> tuple[Counter, Counter]:
+    """How often each (M, p, e) is stripped and how often it is read from
+    the memo, counted per key."""
+    strips, reads = Counter(), Counter()
+    real = _prime_power_order
+
+    def counting(M, p, e):
+        o, primes, fresh = real(M, p, e)
+        (strips if fresh else reads)[M, p, e] += 1
+        return o, primes, fresh
+
+    monkeypatch.setattr(matrix_orders, "_prime_power_order", counting)
+    return strips, reads
 
 
-def test_prime_power_memo_is_bounded(empty_memo):
-    # unipotent matrices mod 3: 4 097 distinct keys, each of order 3
-    keys = [(Mat2(1, 3 * j + 1, 0, 1), 3, 1) for j in range(4097)]
-    for key in keys[:4096]:
-        assert _prime_power_order(*key) == (3, (3,), True)
-    assert list(_order_memo) == keys[:4096]
-    assert _prime_power_order(*keys[0]) == (3, (3,), False)  # a hit: now the newest
-    assert list(_order_memo)[-1] == keys[0] and len(_order_memo) == 4096
-    assert _prime_power_order(*keys[4096]) == (3, (3,), True)  # evicts the oldest
-    assert len(_order_memo) == 4096
-    assert keys[1] not in _order_memo and keys[0] in _order_memo
-    assert list(_order_memo)[-2:] == [keys[0], keys[4096]]
-    assert _prime_power_order(*keys[1]) == (3, (3,), True)  # evicted, so computed again
-    assert keys[2] not in _order_memo and len(_order_memo) == 4096
+def test_artin_scan_strips_each_kept_prime_power_once(monkeypatch):
+    # a p^e with 2p^e <= bound is stripped at its first N and read at every
+    # later multiple; a larger one divides N = p^e alone
+    strips, reads = _counted_strips(monkeypatch)
+    artin_scan(ScanConfig(d=5, sequence="integers", bound=2000))
+    assert set(strips.values()) == {1} and len(strips) == 333  # the p^e <= 2000
+    kept = {key for key in strips if 2 * key[1] ** key[2] <= 2000}
+    assert set(reads) == kept and len(kept) == 193
+    # read at every other N that p^e divides exactly
+    assert all(reads[M, p, e] == 2000 // p**e - 2000 // p ** (e + 1) - 1 for M, p, e in kept)
+
+
+def test_unit_strips_each_prime_power_of_its_conductor_once(monkeypatch, capsys):
+    # unit_index, pm_index and order_regulator each take the order mod f
+    strips, reads = _counted_strips(monkeypatch)
+    f = 8 * 7 * 65537
+    assert cli.main(["unit", "--d", "5", "--conductor", str(f)]) == 0
+    assert f"conductor={f} " in capsys.readouterr().out
+    assert sorted(key[1:] for key in strips) == [(2, 3), (7, 1), (65537, 1)]
+    assert set(strips.values()) == {1} and reads == {key: 2 for key in strips}
+
+
+@pytest.mark.parametrize("bound", [512, 513])
+def test_a_prime_power_above_half_the_bound_is_not_kept(bound):
+    # bound // 2 = 2^8, and 2^8 + 1 = 257 is prime: it divides no other N <= bound
+    M = FIB_MATRIX
+    with _order_scope(bound):
+        assert _prime_power_order(M, 2, 8) == (384, (2, 3), True)
+        assert _prime_power_order(M, 257, 1)[2]
+        assert list(matrix_orders._order_memo) == [(M, 2, 8)]
+        assert _prime_power_order(M, 2, 8) == (384, (2, 3), False)
+        assert _prime_power_order(M, 257, 1)[2]  # computed again
+        assert list(matrix_orders._order_memo) == [(M, 2, 8)]
+        assert mat_order_mod(M, 257) == brute_mat_order((M.a, M.b, M.c, M.d), 257)
 
 
 def _counted_powers(monkeypatch) -> list:
@@ -175,19 +206,21 @@ def test_a_fresh_prime_power_is_proven_by_its_strip_alone(monkeypatch, M):
         if math.gcd(M.det, N) != 1:
             continue
         (p, e), = factorize(N).factors
-        _order_memo.clear()
         calls.clear()
         strip = _prime_power_order(M, p, e)
         strip_calls = calls[:]
-        _order_memo.clear()
+        assert all(n == N for _, n in strip_calls) and len(strip_calls) <= 64
         calls.clear()
-        o = mat_order_mod(M, N)
+        o = mat_order_mod(M, N)  # no scan: computed, as every time
         assert strip[0] == o == brute_mat_order((M.a, M.b, M.c, M.d), N), (M, N)
-        assert calls == strip_calls, (M, N)  # no witness after a miss
-        assert all(n == N for _, n in calls) and len(calls) <= 64
-        calls.clear()
-        assert mat_order_mod(M, N) == o  # a hit: the witness alone, as before
-        assert sorted(calls) == _witness(o, N), (M, N)
+        assert calls == strip_calls, (M, N)  # no witness after a strip
+        with _order_scope(2 * N):
+            calls.clear()
+            assert mat_order_mod(M, N) == o
+            assert calls == strip_calls, (M, N)  # a miss: the strip alone
+            calls.clear()
+            assert mat_order_mod(M, N) == o  # a hit: the witness alone
+            assert sorted(calls) == _witness(o, N), (M, N)
 
 
 @pytest.mark.parametrize("M", MEMO_MATRICES)
@@ -196,36 +229,36 @@ def test_a_composite_modulus_keeps_its_witness(monkeypatch, M):
     for N in (6, 12, 35, 77, 4 * 7 * 11, 9 * 25, 1001, 2 * 65537):
         if math.gcd(M.det, N) != 1:
             continue
-        _order_memo.clear()
-        calls.clear()
-        o = mat_order_mod(M, N)
-        w = len(_witness(o, N))
-        assert sorted(calls[-w:]) == _witness(o, N), (M, N)  # after the strips
-        assert all(n != N for _, n in calls[:-w]), (M, N)
-        assert o == brute_mat_order((M.a, M.b, M.c, M.d), N), (M, N)
-        calls.clear()
-        assert mat_order_mod(M, N) == o  # every prime power a hit
-        assert sorted(calls) == _witness(o, N), (M, N)
+        with _order_scope(2 * N):
+            calls.clear()
+            o = mat_order_mod(M, N)
+            w = len(_witness(o, N))
+            assert sorted(calls[-w:]) == _witness(o, N), (M, N)  # after the strips
+            assert all(n != N for _, n in calls[:-w]), (M, N)
+            assert o == brute_mat_order((M.a, M.b, M.c, M.d), N), (M, N)
+            calls.clear()
+            assert mat_order_mod(M, N) == o  # every prime power a hit
+            assert sorted(calls) == _witness(o, N), (M, N)
 
 
-def test_a_corrupted_memo_entry_raises_on_its_next_hit(empty_memo):
+def test_a_corrupted_memo_entry_raises_on_its_next_hit():
     M = FIB_MATRIX
     # Fibonacci orders 6 mod 4, 16 mod 7, 10 mod 11 and 8 mod 3. Each entry
     # is corrupted, then read at N = p^e and at a composite N; every
     # corruption below moves the lcm, so the composite witness sees it too.
     for p, e, N in ((2, 2, 4 * 7 * 11), (7, 1, 4 * 7 * 11), (11, 1, 4 * 7 * 11), (7, 1, 7 * 3)):
-        _order_memo.clear()
-        o, primes, fresh = _prime_power_order(M, p, e)
-        assert fresh
-        for bad, want in (
-            ((o * 1009, primes + (1009,)), "not minimal"),  # a multiple of the order
-            ((o * primes[-1], primes), "not minimal"),
-            ((o // primes[-1], primes), "does not annihilate"),  # a proper divisor
-        ):
-            for n in (p**e, N):
-                _order_memo[M, p, e] = bad
-                with pytest.raises(InvariantError, match=want):
-                    mat_order_mod(M, n)
+        with _order_scope(2 * N):
+            o, primes, fresh = _prime_power_order(M, p, e)
+            assert fresh
+            for bad, want in (
+                ((o * 1009, primes + (1009,)), "not minimal"),  # a multiple of the order
+                ((o * primes[-1], primes), "not minimal"),
+                ((o // primes[-1], primes), "does not annihilate"),  # a proper divisor
+            ):
+                for n in (p**e, N):
+                    matrix_orders._order_memo[M, p, e] = bad
+                    with pytest.raises(InvariantError, match=want):
+                        mat_order_mod(M, n)
     # o*q0 and o/q0 at the least prime q0 = 2 of the order, whose power
     # M^(o/q0) the witness raises to q0 for M^o. Above, 2 is the largest
     # prime of the order too mod 7 and mod 3; mod 11 and mod 4 it is not.
@@ -240,13 +273,13 @@ def test_a_corrupted_memo_entry_raises_on_its_next_hit(empty_memo):
         (2, 2, 6 // 2, "does not annihilate", (4,)),
         (2, 2, 6 + 1, "does not annihilate", (4, 4 * 11)),
     ):
-        _order_memo.clear()
-        o, primes, _ = _prime_power_order(M, p, e)
-        assert primes[0] == 2 < primes[-1]
-        for n in ns:
-            _order_memo[M, p, e] = wrong, primes
-            with pytest.raises(InvariantError, match=want):
-                mat_order_mod(M, n)
+        with _order_scope(4 * 11 * 2):
+            o, primes, _ = _prime_power_order(M, p, e)
+            assert primes[0] == 2 < primes[-1]
+            for n in ns:
+                matrix_orders._order_memo[M, p, e] = wrong, primes
+                with pytest.raises(InvariantError, match=want):
+                    mat_order_mod(M, n)
 
 
 def test_witness_mod_n_catches_a_wrong_prime_power_order(monkeypatch):
@@ -522,7 +555,6 @@ def test_spf_table_covers_what_the_scan_factors(monkeypatch):
     for scan, d, sequence, bound in ((artin_scan, 5, "integers", 3000),
                                      (artin_scan, 85, "integers", 3000),
                                      (converge_scan, 2, "primes", 2000)):
-        _order_memo.clear()
         for calls in reads.values():
             calls.clear()
         scan(ScanConfig(d=d, sequence=sequence, bound=bound))
@@ -534,24 +566,29 @@ def test_spf_table_covers_what_the_scan_factors(monkeypatch):
 
 
 def test_spf_table_is_in_place_for_the_scan_alone(monkeypatch):
-    sizes = []
+    # and so is the order memo, whose bound is the scan's
+    scopes = []
     real = experiments._artin_item
 
     def recording(ctx, N):
-        sizes.append(len(arith._spf))
+        scopes.append((len(arith._spf), matrix_orders._order_bound))
         if N == 7 and fail:
             raise InvariantError("synthetic")
         return real(ctx, N)
 
+    def no_scan_left():
+        return not arith._spf and not matrix_orders._order_memo and not matrix_orders._order_bound
+
     monkeypatch.setattr(experiments, "_artin_item", recording)
     fail = False
+    assert no_scan_left()
     assert len(artin_scan(ScanConfig(d=5, bound=100))) == 99
-    assert set(sizes) == {2 * 100 + 3} and not arith._spf
+    assert set(scopes) == {(2 * 100 + 3, 100)} and no_scan_left()
     fail = True
-    sizes.clear()
+    scopes.clear()
     with pytest.raises(InvariantError, match=r"^N=7: synthetic$"):
         artin_scan(ScanConfig(d=5, bound=100))
-    assert set(sizes) == {2 * 100 + 3} and not arith._spf
+    assert set(scopes) == {(2 * 100 + 3, 100)} and no_scan_left()
     read = []
     real_read = arith._spf_factors
 
@@ -560,9 +597,9 @@ def test_spf_table_is_in_place_for_the_scan_alone(monkeypatch):
         return real_read(spf, n)
 
     monkeypatch.setattr(arith, "_spf_factors", reading)
-    _order_memo.clear()
     assert mat_order_mod(FIB_MATRIX, 12) == 24
     assert read == []  # no table now: N is factored by trial division
+    assert no_scan_left()  # and no order is kept
 
 
 def test_a_corrupted_spf_entry_raises_naming_its_n():

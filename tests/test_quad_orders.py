@@ -6,7 +6,7 @@ import pytest
 
 from quadcf import matrix_orders, quad_orders
 from quadcf.arith import InvariantError
-from quadcf.matrix_orders import _order_memo, mat_order_mod
+from quadcf.matrix_orders import mat_order_mod
 from quadcf.quad_orders import (
     AlgInt,
     Mat2,
@@ -231,11 +231,9 @@ def test_unit_group_index_takes_at_most_two_powers_past_the_order(monkeypatch):
     for f in fields:
         M = phi(f, f.epsD)
         for n in (1, 2, 4, 5, 12, 48, 97, 360, 1001, 2**10 * 3**4, 65537):
-            _order_memo.clear()
             calls.clear()
             mat_order_mod(M, n)
             order_ladders = len(calls)
-            _order_memo.clear()
             calls.clear()
             unit_group_index(f, n)
             assert len(calls) - order_ladders <= 2, (f.D, n)
