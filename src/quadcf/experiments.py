@@ -171,7 +171,6 @@ def _forked_item_rows(kernel, ctx, label: str, shares: list[Sequence[int]]) -> l
     """_item_rows of each share: shares[0] in this process, each other share
     in a forked child that pickles its result into a pipe and exits."""
     import pickle
-    import signal
 
     pending = []  # (pid, read end of its pipe) of the children not yet reaped
     try:
@@ -221,6 +220,8 @@ def _forked_item_rows(kernel, ctx, label: str, shares: list[Sequence[int]]) -> l
             os.close(r)
             try:
                 if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    import signal  # needed on this error path only
+
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
             except ChildProcessError:  # reaped already

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import checked_record
 from .surd import CFExpansion, convergents
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Pattern(checked_record("Pattern", "digits")):
@@ -54,6 +56,8 @@ class Cylinder(checked_record("Cylinder", "low high")):
 def cylinder(w) -> Cylinder:
     """Endpoints are the last convergent p_k/q_k of [0; w] and the mediant
     (p_k + p_{k-1})/(q_k + q_{k-1}), sorted."""
+    from fractions import Fraction  # here, not at start-up, as in surd.eval_approx
+
     *_, (pm2, qm2), (pm1, qm1) = convergents((0, *_as_digits(w)))
     end = Fraction(pm1, qm1)
     mediant = Fraction(pm1 + pm2, qm1 + qm2)
@@ -101,6 +105,8 @@ def pattern_frequency(e: CFExpansion, w) -> Fraction:
     one L-byte bit mask of the positions holding it, so every window is
     tested in C and memory stays O(L) whatever the length of w.
     """
+    from fractions import Fraction  # here, not at start-up, as in surd.eval_approx
+
     period = e.period
     return Fraction(_window_counts(period, [_as_digits(w)])[0], len(period))
 

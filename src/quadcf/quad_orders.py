@@ -24,12 +24,14 @@ most two power tests; Mat2 is defined there.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import InvariantError, checked_record, factorize, is_square
 from .matrix_orders import Mat2, _is_scalar_power, _power, _reduce, mat_order_mod
-from .surd import Surd, _state_walk, eval_approx, mobius_coeffs
+from .surd import Surd, _approx_ratio, _state_walk, eval_approx, mobius_coeffs
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class AlgInt(NamedTuple):
@@ -131,12 +133,21 @@ def alg_value(f: FieldData, u: AlgInt) -> Fraction:
 
 
 def _log_value(xD: Surd, u: AlgInt) -> float:
-    """Natural log of the real value of u; u must be positive."""
-    fr = u.a + u.b * eval_approx(xD, 96)
-    if fr <= 0:
+    """Natural log of the real value of u; u must be positive.
+
+    With xD ~ num/d from _approx_ratio at 96 bits (d > 0, since xD's Q is
+    1 or 2), u ~ n/d for n = u.a*d + u.b*num. Dividing n and d by g =
+    gcd(n, d) leaves that rational in lowest terms, and lowest terms are
+    unique: they are the numerator and denominator of the Fraction
+    u.a + u.b*eval_approx(xD, 96), so the logs are those of the same two
+    integers and the float agrees bit for bit. math.log takes integers of
+    any size, and these may carry thousands of digits."""
+    num, d = _approx_ratio(xD, 96)
+    n = u.a * d + u.b * num
+    if n <= 0:
         raise ValueError("log of a non-positive element")
-    # log of big ints is fine; Fraction may carry thousands of digits
-    return math.log(fr.numerator) - math.log(fr.denominator)
+    g = math.gcd(n, d)
+    return math.log(n // g) - math.log(d // g)
 
 
 def phi(f: FieldData, alpha: AlgInt) -> Mat2:

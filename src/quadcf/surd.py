@@ -10,10 +10,12 @@ integral forever, so expansions need no rational fallback and no floats.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .arith import InvariantError, checked_record, is_square
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Surd(checked_record("Surd", "P Q D")):
@@ -117,8 +119,11 @@ def is_reduced(x: Surd) -> bool:
     return _reduced(x.P, x.Q, math.isqrt(x.D))
 
 
-def eval_approx(x: Surd, bits: int) -> Fraction:
-    """Rational approximation with relative error below 2**-bits."""
+def _approx_ratio(x: Surd, bits: int) -> tuple[int, int]:
+    """(num, den), den != 0 and of x.Q's sign, with num/den within a
+    relative error of 2**-bits of x; not in lowest terms. It is
+    (x.P*2**s + isqrt(x.D*4**s)) / (x.Q*2**s) for the least s in bits + 8,
+    2*(bits + 8), 4*(bits + 8), ... that takes |num| past 2**bits."""
     if bits < 1:
         raise ValueError("bits must be positive")
     shift = bits + 8
@@ -127,8 +132,19 @@ def eval_approx(x: Surd, bits: int) -> Fraction:
         num = (x.P << shift) + r
         # relative error is at most 1/|num|; demand it under 2**-bits
         if abs(num) > (1 << bits):
-            return Fraction(num, x.Q << shift)
+            return num, x.Q << shift
         shift *= 2
+
+
+def eval_approx(x: Surd, bits: int) -> Fraction:
+    """Rational approximation with relative error below 2**-bits: the
+    Fraction of _approx_ratio's pair. Only this function of the module
+    builds a Fraction, so only its callers load ``fractions``."""
+    # imported here, so a command that builds no Fraction skips the 2 ms
+    # that fractions, decimal and numbers take to load
+    from fractions import Fraction
+
+    return Fraction(*_approx_ratio(x, bits))
 
 
 class CFExpansion(checked_record("CFExpansion", "preperiod period")):

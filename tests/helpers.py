@@ -3,9 +3,10 @@
 Everything here is deliberately naive: trial division, brute-force
 searches, Fraction arithmetic at explicit precision. The point is that
 none of it shares code with the package under test, apart from the record
-types it builds and reduced_forms_by_factorize, which checks the trial
+types it builds, reduced_forms_by_factorize, which checks the trial
 division and the root walk behind reduced_forms against the package's own
-factorize.
+factorize, and fraction_log_value, which takes the package's 96-bit
+approximation of xD through Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from quadcf.arith import factorize
 from quadcf.class_geodesics import IndefForm
 from quadcf.matrix_orders import Mat2
-from quadcf.surd import Surd, make_surd
+from quadcf.surd import Surd, eval_approx, make_surd
 
 
 def frac_sqrt(d: int, bits: int = 160) -> Fraction:
@@ -206,6 +207,17 @@ def element_norm(f, u) -> int:
     """Norm of u = a + b*xD, with xD's trace t and norm nrm from the field:
     (a + b*xD)(a + b*xD') = a^2 + a*b*t + b^2*nrm."""
     return u.a * u.a + u.a * u.b * f.t + u.b * u.b * f.nrm
+
+
+def fraction_log_value(xD: Surd, u) -> float:
+    """Natural log of u = a + b*xD the way quad_orders once took it: the
+    Fraction u.a + u.b*eval_approx(xD, 96), then log of its numerator less
+    log of its denominator. quad_orders._log_value, which reduces by a gcd
+    instead, must give the same float bit for bit."""
+    fr = u.a + u.b * eval_approx(xD, 96)
+    if fr <= 0:
+        raise ValueError("log of a non-positive element")
+    return math.log(fr.numerator) - math.log(fr.denominator)
 
 
 def ring_order_mod(f, alpha, N: int) -> int:

@@ -516,13 +516,32 @@ def test_exit_code_2_when_stdout_closes_early(argv):
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
-    # json and statistics load only where --format json and --summary use them
+    # json and statistics load only where --format json and --summary use them,
+    # fractions (with decimal and numbers) where a Fraction is built, signal
+    # where a worker is killed
     code = ("import sys, quadcf.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json', 'statistics'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json', 'statistics', 'fractions', "
+            "'decimal', 'numbers', 'signal'} & set(sys.modules)))")
     res = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("artin --bound 2", False),
+    ("duke --min 10001 --max 10001", False),
+    ("classno --disc 5", False),
+    ("converge --bound 2", True),  # c_w's cylinder
+    ("unit --d 5", True),  # alg_value
+])
+def test_only_commands_that_build_a_fraction_load_fractions(argv, loads):
+    code = ("import sys; from quadcf.cli import main; code = main(sys.argv[1:]); "
+            "sys.stdout.flush(); print(code, 'fractions' in sys.modules, file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", code, *argv.split()], env=_cli_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.strip() == f"0 {loads}"
 
 
 # sha256 of small tables, recorded before the scans shared one runner

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quadcf import matrix_orders, quad_orders
-from quadcf.arith import InvariantError
+from quadcf.arith import InvariantError, factorize, is_square
 from quadcf.matrix_orders import mat_order_mod
 from quadcf.quad_orders import (
     AlgInt,
@@ -32,6 +32,7 @@ from helpers import (
     brute_unit_index,
     element_norm,
     frac_sqrt,
+    fraction_log_value,
     mat_mul,
     random_surd,
 )
@@ -104,8 +105,29 @@ def test_alg_arithmetic_identities():
 def test_alg_log_matches_repeated_multiplication():
     f = field_data(13)
     assert abs(_log_value(f.xD, alg_pow(f, f.epsD, 5)) - 5 * f.regD) < 1e-9
-    with pytest.raises(ValueError):
-        _log_value(f.xD, AlgInt(-1, 0))
+    f = field_data(5)  # xD = (1 + sqrt(5))/2
+    for u in (AlgInt(-1, 0), AlgInt(0, 0), AlgInt(1, -1), AlgInt(-2, 1)):
+        assert alg_value(f, u) <= 0
+        with pytest.raises(ValueError, match="^log of a non-positive element$"):
+            _log_value(f.xD, u)
+
+
+def test_integer_log_matches_the_fraction_route_bit_for_bit():
+    # every squarefree m < 3000: regD, eps^k for k <= 4, the regulator at f = 12
+    fields = 0
+    for m in range(2, 3000):
+        if is_square(m) or not factorize(m).is_squarefree():
+            continue
+        f = field_data(m)
+        fields += 1
+        reg = fraction_log_value(f.xD, f.epsD)
+        assert f.regD.hex() == reg.hex(), m
+        for k in range(5):
+            e = alg_pow(f, f.epsD, k)
+            assert _log_value(f.xD, e).hex() == fraction_log_value(f.xD, e).hex(), (m, k)
+        got = regulator_of_order(OrderSpec(f, 12))
+        assert got.hex() == (reg * unit_group_index(f, 12)).hex(), m
+    assert fields == 1823
 
 
 def test_phi_frozen_and_homomorphic():

@@ -441,6 +441,12 @@ def test_eval_approx_is_tight():
         assert abs(got - ref) <= Fraction(1, 2**66)
 
 
+def test_eval_approx_refuses_bits_below_one():
+    for bits in (0, -3):
+        with pytest.raises(ValueError, match="^bits must be positive$"):
+            eval_approx(make_surd(0, 1, 2, 1), bits)
+
+
 def test_cfexpansion_contract():
     with pytest.raises(ValueError):
         CFExpansion((1,), ())
