@@ -115,8 +115,12 @@ def run_items(kernel, ctx, ns: Sequence[int], workers: int, label: str = "N") ->
     fork, which inherits kernel and ctx and sends its values back pickled
     through a pipe. The process count never exceeds the CPUs this process
     may run on or the item count, so no share is empty; where os.fork does
-    not exist, every item runs in the calling process. The output does not
-    depend on the worker count.
+    not exist, every item runs in the calling process. Where the affinity
+    mask can be read and set, share i starts on the i-th CPU of the sorted
+    mask: a forked child starts on its parent's CPU, where the kernel often
+    leaves it, so the shares would take turns on one CPU. Each process is
+    moved there and at once given back its full mask, so none stays pinned.
+    The output does not depend on the worker count.
 
     Each share stops at its first failing item, and the exception raised
     is that of the first failing n in the order of ns, as with one worker.
@@ -125,12 +129,14 @@ def run_items(kernel, ctx, ns: Sequence[int], workers: int, label: str = "N") ->
     its share, and an OS that refuses a pipe or a fork raises UsageError;
     no child outlives the call.
     """
-    procs = min(workers, _usable_cpus(), len(ns))
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    procs = min(workers, len(mask) if mask is not None else (os.cpu_count() or 1), len(ns))
     if procs <= 1 or not hasattr(os, "fork"):
         k, parts = 1, [_item_rows(kernel, ctx, label, ns)]
     else:
         k = procs
-        parts = _forked_item_rows(kernel, ctx, label, [ns[i::k] for i in range(k)])
+        cpus = sorted(mask) if mask is not None and hasattr(os, "sched_setaffinity") else []
+        parts = _forked_item_rows(kernel, ctx, label, [ns[i::k] for i in range(k)], cpus)
     # share i holds ns[i::k], so its j-th item is ns[i + j*k]
     failures = [(i + f[0] * k, f[1]) for i, (_, f) in enumerate(parts) if f]
     if failures:
@@ -159,22 +165,35 @@ def _item_rows(kernel, ctx, label: str,
     return out, None
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or the machine's count where the
-    affinity mask cannot be read."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _move_to(cpus: list[int], i: int) -> None:
+    """Move this process onto cpus[i], then give it back the whole of cpus,
+    even when an interrupt lands between the two calls, so it never stays
+    pinned. The kernel leaves a process on an allowed CPU until load moves
+    it, so it starts its work there. A refused move leaves it where it is."""
+    if not cpus:
+        return
+    try:
+        try:
+            os.sched_setaffinity(0, (cpus[i],))
+        finally:
+            os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
-def _forked_item_rows(kernel, ctx, label: str, shares: list[Sequence[int]]) -> list:
+def _forked_item_rows(kernel, ctx, label: str, shares: list[Sequence[int]],
+                      cpus: list[int]) -> list:
     """_item_rows of each share: shares[0] in this process, each other share
-    in a forked child that pickles its result into a pipe and exits."""
+    in a forked child that pickles its result into a pipe and exits. Share i
+    is worked by a process moved onto cpus[i] and then given back all of
+    cpus (the sorted affinity mask, or [] to move nothing): the caller before
+    its first fork, each child right after its own."""
     import pickle
 
+    _move_to(cpus, 0)
     pending = []  # (pid, read end of its pipe) of the children not yet reaped
     try:
-        for share in shares[1:]:
+        for i, share in enumerate(shares[1:], 1):
             fds = ()
             try:
                 fds = r, w = os.pipe()
@@ -186,6 +205,7 @@ def _forked_item_rows(kernel, ctx, label: str, shares: list[Sequence[int]]) -> l
             if pid == 0:
                 code = 1
                 try:
+                    _move_to(cpus, i)
                     os.close(r)
                     with open(w, "wb") as out:
                         pickle.dump(_item_rows(kernel, ctx, label, share), out,

@@ -590,7 +590,7 @@ def test_bench_tables_match_their_golden_pins(command, tmp_path):
     # converge and artin at one and two workers, and at every usable CPU
     # where there are more; duke takes no --workers
     argv = command.split(" ")
-    cpus = experiments._usable_cpus()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for workers in ([None] if argv[0] == "duke" else ["1", "2"] + [str(cpus)] * (cpus > 2)):
         out = tmp_path / f"table-{workers}"
         extra = [] if workers is None else ["--workers", workers]

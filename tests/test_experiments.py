@@ -158,6 +158,22 @@ def test_artin_scan_parallel_matches_serial():
     assert a == b
 
 
+def fake_mask(monkeypatch, cpus, setter=lambda pid, cpus: None):
+    """Make the runner read cpus as its affinity mask and move processes with
+    setter, which does nothing unless a test passes its own: a faked mask is
+    never written into the real one."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(experiments.os, "sched_setaffinity", setter, raising=False)
+
+
+def record_moves(monkeypatch, cpus):
+    """fake_mask with a setter that records each call's CPUs, sorted, in the
+    process that makes it; a child's record begins with its parent's."""
+    moves = []
+    fake_mask(monkeypatch, cpus, lambda pid, cpus: moves.append(sorted(cpus)))
+    return moves
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """Record the shares of each forked run, as lists, and count the forks,
@@ -166,9 +182,9 @@ def forks(monkeypatch):
     seen = SimpleNamespace(shares=[], count=0)
     real_run, real_fork = experiments._forked_item_rows, os.fork
 
-    def run(kernel, ctx, label, shares):
+    def run(kernel, ctx, label, shares, cpus):
         seen.shares.append([list(share) for share in shares])  # integer shares are ranges
-        return real_run(kernel, ctx, label, shares)
+        return real_run(kernel, ctx, label, shares, cpus)
 
     def fork():
         seen.count += 1
@@ -176,7 +192,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(experiments, "_forked_item_rows", run)
     monkeypatch.setattr(experiments.os, "fork", fork)
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fake_mask(monkeypatch, {0, 1})
     return seen
 
 
@@ -195,7 +211,7 @@ def test_forks_are_capped_at_cpu_count(monkeypatch, forks):
 
 def test_forks_are_capped_at_the_usable_cpus(monkeypatch):
     # one CPU in the affinity mask of a two-CPU machine: one process
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    fake_mask(monkeypatch, {0})
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     serial = artin_scan(ScanConfig(bound=30))
     monkeypatch.setattr(experiments.os, "fork", no_fork)
@@ -203,7 +219,7 @@ def test_forks_are_capped_at_the_usable_cpus(monkeypatch):
 
 
 def test_scan_runs_in_one_process_without_fork(monkeypatch):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fake_mask(monkeypatch, {0, 1})
     serial = artin_scan(ScanConfig(bound=30))
     monkeypatch.delattr(experiments.os, "fork", raising=False)
     assert artin_scan(ScanConfig(bound=30, workers=2)) == serial
@@ -222,9 +238,80 @@ def test_no_share_is_empty(forks):
 def test_one_item_scan_forks_nothing(monkeypatch):
     serial = (converge_scan(ScanConfig(bound=2)), artin_scan(ScanConfig(bound=2)))
     monkeypatch.setattr(experiments.os, "fork", no_fork)
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fake_mask(monkeypatch, {0, 1})
     cfg = ScanConfig(bound=2, workers=2)
     assert (converge_scan(cfg), artin_scan(cfg)) == serial
+
+
+def test_each_share_starts_on_a_cpu_of_its_own(monkeypatch):
+    # each item's value is the moves its process has made by then. Share i
+    # is item i: the caller moves before its first fork, so each child's
+    # record begins with the caller's move, then its own
+    moves = record_moves(monkeypatch, {33, 2, 9})  # iterated as 33, 2, 9
+    mask = [2, 9, 33]
+    values = experiments.run_items(lambda ctx, n: list(moves), None, [0, 1, 2], 3)
+    caller = [[2], mask]  # one CPU, then the whole mask back at once
+    assert values == [caller, caller + [[9], mask], caller + [[33], mask]]
+    assert moves == caller
+
+
+def _tables(workers: int) -> list[str]:
+    cfg = ScanConfig(bound=60, workers=workers)
+    return [render_table(DeviationRow, converge_scan(cfg), "csv"),
+            render_table(OrderRecord, artin_scan(cfg), "json")]
+
+
+@pytest.mark.parametrize("code", [errno.EINVAL, errno.EPERM])
+def test_a_refused_move_changes_no_table(monkeypatch, forks, code):
+    serial = _tables(1)
+
+    def refuse(pid, cpus):
+        raise OSError(code, os.strerror(code))
+
+    fake_mask(monkeypatch, {0, 1}, refuse)
+    assert _tables(2) == serial
+    assert forks.count == 2
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "sched_setaffinity"])
+def test_nothing_is_moved_without_both_affinity_calls(monkeypatch, forks, missing):
+    serial = _tables(1)
+    moves = record_moves(monkeypatch, {0, 1})
+    monkeypatch.delattr(experiments.os, missing)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    assert _tables(2) == serial
+    assert forks.count == 2 and moves == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls")
+@pytest.mark.parametrize("error", [None, InvariantError, KeyboardInterrupt])
+def test_the_caller_gets_its_real_mask_back(error):
+    # the real calls: whether the scan returns, raises or is interrupted in
+    # the caller's share, the caller's mask is what it was
+    before = os.sched_getaffinity(0)
+
+    def kernel(ctx, n):
+        if error and n == 2:
+            raise error("synthetic")
+        return [n]
+
+    try:
+        experiments.run_items(kernel, None, list(range(8)), len(before))
+    except (InvariantError, KeyboardInterrupt):
+        assert error
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.parametrize("cpus, workers, bound", [
+    ({0, 1}, 1, 30),  # one worker
+    ({0, 1}, 2, 2),   # one item
+    ({0}, 2, 30),     # one CPU in the mask
+])
+def test_one_process_moves_nothing(monkeypatch, cpus, workers, bound):
+    moves = record_moves(monkeypatch, cpus)
+    monkeypatch.setattr(experiments.os, "fork", no_fork)
+    artin_scan(ScanConfig(bound=bound, workers=workers))
+    assert moves == []
 
 
 @pytest.mark.parametrize("error, message", [
@@ -266,7 +353,7 @@ def test_artin_scan_peaks_near_what_it_returns(monkeypatch, workers, ratio):
     # list of each share and, with several processes, the list it returns.
     # One-record lists, a flattened copy and each child's whole pickle
     # peaked at 1.44x and 1.81x of what the scan returns.
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fake_mask(monkeypatch, {0, 1})
     tracemalloc.start()
     try:
         recs = artin_scan(ScanConfig(d=5, bound=10**4, workers=workers))
@@ -301,6 +388,7 @@ def test_a_dead_worker_fails_the_scan():
         import os, signal, sys
         from quadcf import cli, experiments
         os.sched_getaffinity = lambda pid: {0, 1}
+        os.sched_setaffinity = lambda pid, cpus: None
         parent, real = os.getpid(), experiments._artin_item
 
         def dying(ctx, n):
@@ -326,6 +414,7 @@ def test_a_worker_killed_while_it_writes_fails_the_scan():
         import os, pickle, signal
         from quadcf import cli
         os.sched_getaffinity = lambda pid: {0, 1}
+        os.sched_setaffinity = lambda pid, cpus: None
 
         def half_dump(obj, f, protocol=None):
             data = pickle.dumps(obj, protocol)
@@ -350,6 +439,7 @@ def test_a_refused_fork_exits_2_with_one_line():
         import errno, os
         from quadcf import cli
         os.sched_getaffinity = lambda pid: {0, 1, 2}
+        os.sched_setaffinity = lambda pid, cpus: None
         real_fork, forks = os.fork, []
 
         def fork():
@@ -376,6 +466,7 @@ def test_an_interrupt_in_the_callers_share_reaps_every_child():
         import os, time
         from quadcf import experiments
         os.sched_getaffinity = lambda pid: {0, 1, 2}
+        os.sched_setaffinity = lambda pid, cpus: None
         parent = os.getpid()
 
         def kernel(ctx, n):
